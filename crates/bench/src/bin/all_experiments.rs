@@ -1,8 +1,11 @@
-//! Run the full experiment suite (F1, F2, E1–E9) in order.
+//! Run the full experiment suite (F1, F2, E1–E9) in order, or one of it.
 //!
 //! ```sh
-//! all_experiments [--backend {sim,threaded}] [--cores N]
+//! all_experiments [--backend {sim,threaded}] [--cores N] [--only NAME]
 //! ```
+//!
+//! `--only NAME` runs a single simulator experiment, named by its table
+//! (`fig1_regular_cycles`, `e5b_udum_ablation`, …; see [`EXPERIMENTS`]).
 //!
 //! `--backend sim` (the default) runs every experiment on the deterministic
 //! simulator. `--backend threaded` runs the experiments ported to the
@@ -18,9 +21,28 @@ use o2pc_bench::experiments as ex;
 use o2pc_bench::experiments::Backend;
 use std::process::exit;
 
+/// The simulator suite in run order: table name, regenerating function.
+const EXPERIMENTS: &[(&str, fn())] = &[
+    ("fig1_regular_cycles", ex::fig1),
+    ("fig2_marking_transitions", ex::fig2),
+    ("e1_lock_hold_time", ex::e1),
+    ("e2_contention_throughput", ex::e2),
+    ("e3_abort_crossover", ex::e3),
+    ("e4_blocking_window", ex::e4),
+    ("e5_p1_overhead", ex::e5),
+    ("e5b_udum_ablation", ex::e5b),
+    ("e6_message_counts", ex::e6),
+    ("e7_correctness_audit", ex::e7),
+    ("e8_real_actions", ex::e8),
+    ("e9_autonomy", ex::e9),
+];
+
+const USAGE: &str = "usage: all_experiments [--backend {sim,threaded}] [--cores N] [--only NAME]";
+
 struct Args {
     backend: Backend,
     cores: usize,
+    only: Option<fn()>,
 }
 
 fn parse_args() -> Args {
@@ -28,6 +50,7 @@ fn parse_args() -> Args {
     let mut parsed = Args {
         backend: Backend::Sim,
         cores: 0, // all available
+        only: None,
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -57,16 +80,35 @@ fn parse_args() -> Args {
                     }
                 };
             }
+            "--only" => {
+                let Some(value) = args.next() else {
+                    eprintln!("error: --only requires an experiment name");
+                    exit(2);
+                };
+                let Some(&(_, run)) = EXPERIMENTS.iter().find(|(name, _)| value == *name) else {
+                    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+                    eprintln!(
+                        "error: unknown experiment `{value}` (one of {})",
+                        names.join(", ")
+                    );
+                    exit(2);
+                };
+                parsed.only = Some(run);
+            }
             "--help" | "-h" => {
-                println!("usage: all_experiments [--backend {{sim,threaded}}] [--cores N]");
+                println!("{USAGE}");
                 exit(0);
             }
             other => {
                 eprintln!("error: unexpected argument `{other}`");
-                eprintln!("usage: all_experiments [--backend {{sim,threaded}}] [--cores N]");
+                eprintln!("{USAGE}");
                 exit(2);
             }
         }
+    }
+    if parsed.only.is_some() && parsed.backend == Backend::Threaded {
+        eprintln!("error: --only selects a simulator experiment; drop --backend threaded");
+        exit(2);
     }
     parsed
 }
@@ -76,20 +118,15 @@ fn main() {
     match args.backend {
         Backend::Sim => {
             ex::set_cores(args.cores);
+            if let Some(run) = args.only {
+                run();
+                return;
+            }
             println!("# O2PC reproduction — full experiment suite (deterministic sim)");
             println!("# mode: closed-loop trace replay (pre-generated arrival schedule)\n");
-            ex::fig1();
-            ex::fig2();
-            ex::e1();
-            ex::e2();
-            ex::e3();
-            ex::e4();
-            ex::e5();
-            ex::e5b();
-            ex::e6();
-            ex::e7();
-            ex::e8();
-            ex::e9();
+            for (_, run) in EXPERIMENTS {
+                run();
+            }
             println!("\nAll experiments completed.");
         }
         Backend::Threaded => {

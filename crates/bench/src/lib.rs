@@ -1,11 +1,11 @@
 //! # o2pc-bench
 //!
 //! The experiment harness. Every figure of the paper and every qualitative
-//! performance claim has a regenerating function here (one binary each; see
-//! DESIGN.md §4 for the experiment ↔ claim index and EXPERIMENTS.md for the
-//! recorded outcomes):
+//! performance claim has a regenerating function here, run alone by
+//! `all_experiments --only <table>` (see DESIGN.md §4 for the
+//! experiment ↔ claim index and EXPERIMENTS.md for the recorded outcomes):
 //!
-//! | id | binary | claim |
+//! | id | table | claim |
 //! |----|--------|-------|
 //! | F1 | `fig1_regular_cycles` | Figure 1 / Example 1 regular-cycle semantics |
 //! | F2 | `fig2_marking_transitions` | Figure 2 marking state machine |

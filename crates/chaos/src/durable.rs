@@ -10,7 +10,7 @@
 //!   sites durably logged conflicting decisions for one transaction) and
 //!   **conservation** (after resolution, balances sum to the initial total).
 //! * [`injected_fault_roundtrip`] drives a scripted append workload into a
-//!   [`DurableWal`] armed with a seeded [`WriteFault`] (short write, write
+//!   file-backed [`Wal`] armed with a seeded [`WriteFault`] (short write, write
 //!   error, or handle loss mid-append), then reopens the file and checks that
 //!   what survived is a clean frame-boundary prefix of the script and that it
 //!   recovers exactly like the same prefix in memory.
@@ -31,7 +31,7 @@ use crate::oracle::Violation;
 use o2pc_common::{ExecId, GlobalTxnId, SiteId};
 use o2pc_compensation::{plan_compensation, CompensationModel};
 use o2pc_storage::codec::encode_frame;
-use o2pc_storage::{DurableWal, FaultKind, LogRecord, RecoveredState, Wal, WriteFault};
+use o2pc_storage::{recover, FaultKind, LogRecord, RecoveredState, Wal, WriteFault};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -75,7 +75,7 @@ pub fn recover_killed_run(
     let mut records = 0usize;
     for i in 0..num_sites {
         let path = dir.join(format!("site-{i}.wal"));
-        match DurableWal::open(&path) {
+        match Wal::open(&path) {
             Ok(wal) => {
                 records += wal.len();
                 states.push((SiteId(i), wal.recover()));
@@ -216,9 +216,9 @@ fn fault_script(seed: u64) -> Vec<LogRecord> {
 ///
 /// 1. the surviving records are a **prefix** of the script — no record is
 ///    reordered, altered, or resurrected past a torn frame;
-/// 2. recovery over the survivors equals recovery of the same prefix through
-///    the in-memory [`Wal`] — the differential that pins the durable path to
-///    the reference semantics.
+/// 2. recovery of the reopened log equals the pure [`recover`] over the same
+///    script prefix — the differential that pins the durable path to the
+///    reference semantics.
 ///
 /// Returns the observations, or a description of the violated check.
 pub fn injected_fault_roundtrip(seed: u64, path: &Path) -> Result<FaultRunStats, String> {
@@ -237,7 +237,7 @@ pub fn injected_fault_roundtrip(seed: u64, path: &Path) -> Result<FaultRunStats,
     let group = 1 + (xorshift(&mut rng) % 5) as usize;
 
     let _ = std::fs::remove_file(path);
-    let mut wal = DurableWal::open_with(path, Some(WriteFault { fail_after, kind }))
+    let mut wal = Wal::open_with(path, Some(WriteFault { fail_after, kind }))
         .map_err(|e| format!("open failed: {e}"))?;
     let mut scripted = 0usize;
     for (i, rec) in script.iter().enumerate() {
@@ -253,7 +253,7 @@ pub fn injected_fault_roundtrip(seed: u64, path: &Path) -> Result<FaultRunStats,
     let fired = wal.is_dead();
     drop(wal);
 
-    let reopened = DurableWal::open(path).map_err(|e| format!("reopen failed: {e}"))?;
+    let reopened = Wal::open(path).map_err(|e| format!("reopen failed: {e}"))?;
     let survived = reopened.len();
     if survived > scripted || reopened.records() != &script[..survived] {
         return Err(format!(
@@ -261,10 +261,9 @@ pub fn injected_fault_roundtrip(seed: u64, path: &Path) -> Result<FaultRunStats,
              (survived {survived}, scripted {scripted})"
         ));
     }
-    let reference = Wal::from_records(script[..survived].to_vec()).recover();
-    if reopened.recover() != reference {
+    if reopened.recover() != recover(&script[..survived]) {
         return Err(format!(
-            "seed {seed}: durable recovery diverged from in-memory recovery \
+            "seed {seed}: durable recovery diverged from reference recovery \
              over the same {survived}-record prefix"
         ));
     }
@@ -315,7 +314,7 @@ mod tests {
         use o2pc_common::GlobalTxnId;
         let dir = tmpdir("conflict");
         for (i, commit) in [(0u32, true), (1u32, false)] {
-            let mut w = DurableWal::open(dir.join(format!("site-{i}.wal"))).unwrap();
+            let mut w = Wal::open(dir.join(format!("site-{i}.wal"))).unwrap();
             w.append(LogRecord::Outcome {
                 txn: GlobalTxnId(7),
                 commit,
@@ -337,7 +336,7 @@ mod tests {
         let dir = tmpdir("comp");
         let mut store = Store::new();
         store.load(Key(0), Value(50));
-        let mut w = DurableWal::open(dir.join("site-0.wal")).unwrap();
+        let mut w = Wal::open(dir.join("site-0.wal")).unwrap();
         w.checkpoint(&store);
         let e = ExecId::Sub(GlobalTxnId(1));
         w.append(LogRecord::Begin(e));

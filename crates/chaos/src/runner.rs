@@ -121,7 +121,7 @@ fn clear_run_dir(run_dir: &std::path::Path) {
 }
 
 /// [`run_plan`], optionally in durable-WAL mode: with `durable_dir` set,
-/// every site logs through the file-backed backend under
+/// every site logs to a file-backed WAL under
 /// `durable_dir/seed-<seed>/` (wiped first — each schedule starts from an
 /// empty log). The run stays deterministic — flush points are virtual-time
 /// events and fsync latency is never observed — so `--replay` and shrinking

@@ -120,8 +120,8 @@ pub struct SystemConfig {
     pub admission_window: Option<usize>,
     /// Directory for per-site durable WAL files (`site-<id>.wal`). `None`
     /// (the default) keeps the historical in-memory WAL with simulated
-    /// durability. When set, every site logs through the file-backed
-    /// backend: externally visible promises (yes-votes, decision acks,
+    /// durability. When set, every site logs to a file-backed WAL:
+    /// externally visible promises (yes-votes, decision acks,
     /// fate-bearing termination answers) are held until the records they
     /// depend on are fsynced — the group-commit protocol.
     pub durable_wal_dir: Option<std::path::PathBuf>,

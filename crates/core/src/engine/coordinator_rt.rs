@@ -304,44 +304,22 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             self.wal_parked.remove(&site);
             self.flush_armed.remove(&site);
             let seq_floor = s.local_seq_watermark();
-            // Remember which records each compensation owns: the crash
-            // transform truncates a durable WAL to its watermark, and any
-            // compensation whose records ride the lost tail was undone by
-            // that loss (its commit record is the exec's last, so a lost
-            // record implies no durable commit) and will re-execute under
-            // the same id. The history must void its pre-crash accesses,
-            // or the audit would merge two physical executions into one
-            // node and see cycles that never existed on any disk.
-            let comp_of = |rec: &o2pc_storage::LogRecord| -> Option<GlobalTxnId> {
-                use o2pc_common::ExecId;
-                use o2pc_storage::LogRecord as LR;
-                let exec = match rec {
-                    LR::Begin(e) | LR::Commit(e) | LR::Abort(e) | LR::Prepared(e) => e,
-                    LR::Update { exec, .. } => exec,
-                    LR::LocalCommit { exec, .. } => exec,
-                    LR::Outcome { .. } | LR::Checkpoint { .. } => return None,
-                };
-                match exec {
-                    ExecId::CompSub(g) => Some(*g),
-                    _ => None,
-                }
-            };
-            // Only a durable WAL can lose a tail in the crash transform; the
-            // in-memory backend keeps every record, so the voided set is
-            // empty by construction and the full-log scan would be pure
-            // overhead on the (hot) simulated-crash path.
-            let pre_comps: Vec<Option<GlobalTxnId>> = if s.wal_is_durable() {
-                s.wal_records().iter().map(comp_of).collect()
-            } else {
-                Vec::new()
-            };
-            let wal = s.crash();
-            let voided: std::collections::BTreeSet<GlobalTxnId> = pre_comps
-                .get(wal.len()..)
-                .unwrap_or(&[])
+            // The crash transform truncates a durable WAL to its watermark
+            // and returns the records it cut. Any compensation whose records
+            // ride that lost tail was undone by the loss (its commit record
+            // is the exec's last, so a lost record implies no durable
+            // commit) and will re-execute under the same id. The history
+            // must void its pre-crash accesses, or the audit would merge two
+            // physical executions into one node and see cycles that never
+            // existed on any disk. An in-memory WAL loses nothing, so the
+            // voided set is empty by construction.
+            let (wal, lost) = s.crash();
+            let voided: std::collections::BTreeSet<GlobalTxnId> = lost
                 .iter()
-                .flatten()
-                .copied()
+                .filter_map(|rec| match rec.exec() {
+                    Some(o2pc_common::ExecId::CompSub(g)) => Some(g),
+                    _ => None,
+                })
                 .collect();
             for g in voided {
                 self.hist.record(o2pc_common::HistEvent {

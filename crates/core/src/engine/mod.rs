@@ -43,7 +43,7 @@ use o2pc_runtime::FlushScheduler;
 use o2pc_runtime::{Runtime, SimRuntime};
 use o2pc_sim::Network;
 use o2pc_site::{LockPolicy, Site, SiteConfig};
-use o2pc_storage::{DurableWal, WalBackend, WalOptions};
+use o2pc_storage::{Wal, WalOptions};
 use recorder::Recorder;
 use std::collections::BTreeSet;
 
@@ -164,7 +164,7 @@ pub struct Engine<R: Runtime<TimerEvent, Msg> = DefaultSimRuntime> {
     pub(crate) sites: Vec<Option<Site>>,
     /// WALs of down sites, with the pre-crash local-id watermark (the
     /// engine's durable id-range reservation — see `Site::reserve_local_seq`).
-    pub(crate) crashed_wals: FastHashMap<SiteId, (WalBackend, u64)>,
+    pub(crate) crashed_wals: FastHashMap<SiteId, (Wal, u64)>,
     pub(crate) rt: R,
     pub(crate) rng: DetRng,
     pub(crate) idgen: GlobalTxnIdGen,
@@ -278,12 +278,12 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         }
     }
 
-    /// Build one site's WAL backend per the configuration: durable when a
-    /// WAL directory is set (reopening an existing file — recovery across
+    /// Build one site's WAL per the configuration: file-backed when a WAL
+    /// directory is set (reopening an existing file — recovery across
     /// *process* restarts — is exactly the open path), in-memory otherwise.
-    fn make_wal(cfg: &SystemConfig, id: SiteId) -> WalBackend {
+    fn make_wal(cfg: &SystemConfig, id: SiteId) -> Wal {
         match &cfg.durable_wal_dir {
-            None => WalBackend::default(),
+            None => Wal::new(),
             Some(dir) => {
                 std::fs::create_dir_all(dir).expect("create durable WAL dir");
                 let path = dir.join(format!("site-{}.wal", id.0));
@@ -291,7 +291,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                     segment_bytes: cfg.wal_segment_bytes,
                     fault: None,
                 };
-                WalBackend::from(DurableWal::open_with_opts(&path, opts).expect("open durable WAL"))
+                Wal::open_with_opts(&path, opts).expect("open durable WAL")
             }
         }
     }
@@ -407,7 +407,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// One site's raw WAL records (diagnostics: tracing chaos
     /// counterexamples back to the log).
     pub fn wal_records(&self, site: SiteId) -> Option<&[o2pc_storage::LogRecord]> {
-        self.sites[site.index()].as_ref().map(|s| s.wal_records())
+        self.sites[site.index()].as_ref().map(|s| s.wal().records())
     }
 
     /// The site's durable-WAL I/O counters (`None` if the site is down or
@@ -416,7 +416,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     pub fn wal_stats(&self, site: SiteId) -> Option<std::sync::Arc<o2pc_storage::WalStats>> {
         self.sites[site.index()]
             .as_ref()
-            .and_then(|s| s.wal_stats())
+            .and_then(|s| s.wal().stats())
     }
 
     /// Sum of every live site's item values (conservation checks).
@@ -482,7 +482,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// decision ack (the `Outcome` record), a fate-bearing termination
     /// answer. In durable mode such a message is parked until the sender's
     /// WAL is durable past its current append ticket; the next group-commit
-    /// flush releases it. On the in-memory backend (and for messages that
+    /// flush releases it. On an in-memory WAL (and for messages that
     /// promise nothing — a no-vote, a SPAWN) this is just [`Engine::send`]:
     /// the WAL reports clean and nothing parks.
     ///
@@ -494,7 +494,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// record it depends on.
     pub(crate) fn send_gated(&mut self, now: SimTime, from: SiteId, to: SiteId, msg: Msg) {
         let ticket = match self.sites[from.index()].as_ref() {
-            Some(s) if s.wal_append_ticket() > self.release_gate(s) => s.wal_append_ticket(),
+            Some(s) if s.wal().append_ticket() > self.release_gate(s) => s.wal().append_ticket(),
             // WAL already covered by the release gate (always true
             // in-memory) or site down: nothing to hold the message for.
             _ => {
@@ -520,9 +520,9 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     #[inline]
     fn release_gate(&self, s: &Site) -> u64 {
         if self.cfg.wal_background_flush {
-            s.wal_durable_ticket()
+            s.wal().durable_ticket()
         } else {
-            s.wal_sealed_ticket()
+            s.wal().sealed_ticket()
         }
     }
 
@@ -535,10 +535,11 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             return;
         }
         let s = self.sites[site.index()].as_ref().unwrap();
-        let pending = s.wal_pending_bytes();
+        let pending = s.wal().pending_bytes();
         let owed = pending > 0
             || (self.cfg.wal_background_flush
-                && (s.wal_is_dirty() || self.wal_parked.get(&site).is_some_and(|q| !q.is_empty())));
+                && (s.wal().is_dirty()
+                    || self.wal_parked.get(&site).is_some_and(|q| !q.is_empty())));
         if !owed {
             return;
         }
@@ -557,41 +558,33 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// Group-commit flush point: seal everything the site appended since
     /// the last flush into one batch for the flush pipeline (or fsync
     /// inline for fault-armed WALs, whose fault point must stay
-    /// deterministic) and release every parked message the release gate now
-    /// covers. One batch — and, after coalescing, one fsync — covers every
-    /// transaction that logged in the window: that batching *is* group
-    /// commit.
+    /// deterministic — see [`Wal::flush`]) and release every parked message
+    /// the release gate now covers. One batch — and, after coalescing, one
+    /// fsync — covers every transaction that logged in the window: that
+    /// batching *is* group commit. `wal.flushes` counts only flush points
+    /// that sealed or synced bytes, not the empty ticks of a re-arm chain.
     pub(crate) fn on_wal_flush(&mut self, now: SimTime, site: SiteId) {
         self.flush_armed.remove(&site);
-        if !self.site_up(site) {
+        let Some(s) = self.sites[site.index()].as_mut() else {
             return;
+        };
+        let wal = s.wal_mut();
+        let pending = wal.pending_bytes();
+        let Ok(batch) = wal.flush() else {
+            // The log device failed (an injected fault): the site can no
+            // longer make durable promises. Treat it exactly like a crash —
+            // volatile state gone, disk state as the fault left it.
+            self.report.counters.inc("wal.fault_crashes");
+            self.on_crash(now, site);
+            return;
+        };
+        if let Some(batch) = batch {
+            self.flusher
+                .as_ref()
+                .expect("a file-backed WAL runs with a flush pipeline")
+                .submit(site.0, batch);
         }
-        {
-            let s = self.sites[site.index()].as_mut().unwrap();
-            if s.wal_wants_inline_flush() {
-                if s.wal_sync().is_err() {
-                    // The log device failed (an injected fault): the site
-                    // can no longer make durable promises. Treat it exactly
-                    // like a crash — volatile state gone, disk state as the
-                    // fault left it.
-                    self.report.counters.inc("wal.fault_crashes");
-                    self.on_crash(now, site);
-                    return;
-                }
-            } else if let Some(batch) = s.wal_seal_batch() {
-                match &self.flusher {
-                    Some(f) => f.submit(site.0, batch),
-                    // No pipeline (not a durable run — unreachable in
-                    // practice): execute inline.
-                    None => {
-                        if batch.execute().is_err() {
-                            self.report.counters.inc("wal.fault_crashes");
-                            self.on_crash(now, site);
-                            return;
-                        }
-                    }
-                }
-            }
+        if wal.pending_bytes() < pending {
             self.report.counters.inc("wal.flushes");
         }
         self.release_parked(now, site);
@@ -600,7 +593,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         if self.cfg.wal_background_flush
             && (self.sites[site.index()]
                 .as_ref()
-                .is_some_and(|s| s.wal_is_dirty())
+                .is_some_and(|s| s.wal().is_dirty())
                 || self.wal_parked.get(&site).is_some_and(|q| !q.is_empty()))
             && self.flush_armed.insert(site)
         {
@@ -613,18 +606,11 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
 
     /// Release parked messages covered by the site's release gate.
     fn release_parked(&mut self, now: SimTime, site: SiteId) {
+        let gate = self.sites[site.index()]
+            .as_ref()
+            .map_or(0, |s| self.release_gate(s));
         let Some(queue) = self.wal_parked.get_mut(&site) else {
             return;
-        };
-        let gate = match self.sites[site.index()].as_ref() {
-            Some(s) => {
-                if self.cfg.wal_background_flush {
-                    s.wal_durable_ticket()
-                } else {
-                    s.wal_sealed_ticket()
-                }
-            }
-            None => 0,
         };
         let ready = queue.partition_point(|&(t, _, _)| t <= gate);
         if ready == 0 {
@@ -640,12 +626,9 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// release whatever that unparks. Inline even in background mode: the
     /// run is over, latency no longer matters, completeness does.
     pub(crate) fn sync_all_wals(&mut self, now: SimTime) {
-        if self.cfg.durable_wal_dir.is_none() {
-            return;
-        }
         for id in self.cfg.sites().collect::<Vec<_>>() {
             if let Some(s) = self.sites[id.index()].as_mut() {
-                let _ = s.wal_sync();
+                let _ = s.wal_mut().sync();
                 self.release_parked(now, id);
             }
         }
@@ -686,5 +669,39 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         for exec in woken {
             self.rt.schedule(now, TimerEvent::OpDone { site, exec });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use o2pc_protocol::ProtocolKind;
+    use o2pc_storage::LogRecord;
+
+    /// `wal.flushes` counts flush points that sealed or synced bytes: the
+    /// empty ticks of the physical-gating re-arm chain are not flushes.
+    #[test]
+    fn flush_point_with_nothing_pending_is_not_counted() {
+        let dir = std::env::temp_dir().join(format!("o2pc-engine-flush-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = SystemConfig::new(1, ProtocolKind::O2pcP2);
+        cfg.durable_wal_dir = Some(dir.clone());
+        cfg.wal_background_flush = true;
+        let mut engine = Engine::new(cfg);
+        let site = SiteId(0);
+        engine
+            .site_mut(site)
+            .wal_mut()
+            .append(LogRecord::Begin(ExecId::Sub(GlobalTxnId(1))));
+        engine.on_wal_flush(SimTime::ZERO, site);
+        assert_eq!(engine.report.counters.get("wal.flushes"), 1);
+        engine.on_wal_flush(SimTime::ZERO, site);
+        assert_eq!(
+            engine.report.counters.get("wal.flushes"),
+            1,
+            "a flush point with nothing pending is an empty tick"
+        );
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

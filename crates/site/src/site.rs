@@ -9,7 +9,7 @@ use o2pc_common::{
 use o2pc_compensation::{plan_compensation, CompensationModel, CompensationPlan};
 use o2pc_locking::{LockManager, RequestOutcome};
 use o2pc_marking::{MarkEvent, MarkState, SiteMarks};
-use o2pc_storage::{CommitRecord, FlushBatch, LogRecord, Store, WalBackend};
+use o2pc_storage::{CommitRecord, LogRecord, Store, Wal};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -85,7 +85,7 @@ pub struct Site {
     id: SiteId,
     config: SiteConfig,
     store: Store,
-    wal: WalBackend,
+    wal: Wal,
     locks: LockManager,
     marks: SiteMarks,
     last_writer: FastHashMap<Key, TxnId>,
@@ -115,11 +115,11 @@ pub struct Site {
 impl Site {
     /// New empty site with an in-memory WAL.
     pub fn new(id: SiteId, config: SiteConfig) -> Self {
-        Self::with_wal(id, config, WalBackend::default())
+        Self::with_wal(id, config, Wal::new())
     }
 
-    /// New empty site logging to the given WAL backend.
-    pub fn with_wal(id: SiteId, config: SiteConfig, wal: WalBackend) -> Self {
+    /// New empty site logging to the given WAL.
+    pub fn with_wal(id: SiteId, config: SiteConfig, wal: Wal) -> Self {
         Site {
             id,
             config,
@@ -696,12 +696,6 @@ impl Site {
         self.wal_store_diff().is_empty()
     }
 
-    /// The raw WAL records, for diagnostics (e.g. dumping why a replay
-    /// diverged, or tracing a chaos-harness counterexample).
-    pub fn wal_records(&self) -> &[LogRecord] {
-        self.wal.records()
-    }
-
     /// Keys where WAL replay and the live store disagree, as
     /// `(key, recovered, live)` — diagnostic companion to
     /// [`Site::wal_matches_store`].
@@ -830,74 +824,26 @@ impl Site {
         self.locks.release_all(exec, now)
     }
 
-    /// Simulated crash: the volatile state is lost; the WAL survives —
-    /// entirely on the in-memory backend, and up to its durable watermark on
-    /// the durable backend (the unsynced tail is gone, as on a real disk).
-    pub fn crash(self) -> WalBackend {
-        self.wal.crash().expect("wal crash transform")
+    /// Simulated crash: the volatile state is lost; the WAL survives up to
+    /// its durable watermark (see [`Wal::crash`]). Returns the surviving
+    /// log and the records the crash lost — always none in memory.
+    pub fn crash(self) -> (Wal, Vec<LogRecord>) {
+        let mut wal = self.wal;
+        let lost = wal.crash().expect("wal crash transform");
+        (wal, lost)
     }
 
-    // ----- durability surface (delegated; trivial on the in-memory WAL;
-    // #[inline] because the engine queries these per gated send and the
-    // workspace builds without LTO) -----
-
-    /// True when this site logs to the durable (file-backed) backend.
+    /// The site's write-ahead log (durability tickets, records, stats).
     #[inline]
-    pub fn wal_is_durable(&self) -> bool {
-        self.wal.is_durable()
+    pub fn wal(&self) -> &Wal {
+        &self.wal
     }
 
-    /// True when the site's WAL has appended records not yet durable.
+    /// Mutable access to the site's WAL, for the engine's group-commit
+    /// flush points.
     #[inline]
-    pub fn wal_is_dirty(&self) -> bool {
-        self.wal.is_dirty()
-    }
-
-    /// Ticket covering everything this site has logged so far.
-    #[inline]
-    pub fn wal_append_ticket(&self) -> u64 {
-        self.wal.append_ticket()
-    }
-
-    /// The site's durable watermark.
-    #[inline]
-    pub fn wal_durable_ticket(&self) -> u64 {
-        self.wal.durable_ticket()
-    }
-
-    /// The site's sealed watermark (bytes already in the flush pipeline).
-    #[inline]
-    pub fn wal_sealed_ticket(&self) -> u64 {
-        self.wal.sealed_ticket()
-    }
-
-    /// Bytes appended but not yet sealed or synced.
-    #[inline]
-    pub fn wal_pending_bytes(&self) -> u64 {
-        self.wal.pending_bytes()
-    }
-
-    /// True when this site's WAL must flush inline (fault-armed or dead
-    /// durable WAL; trivially true in-memory).
-    #[inline]
-    pub fn wal_wants_inline_flush(&self) -> bool {
-        self.wal.wants_inline_flush()
-    }
-
-    /// Group commit: flush the site's WAL inline (sim substrate).
-    pub fn wal_sync(&mut self) -> std::io::Result<()> {
-        self.wal.sync()
-    }
-
-    /// Seal buffered WAL frames for a background flusher (threaded
-    /// substrate). `None` when nothing is pending.
-    pub fn wal_seal_batch(&mut self) -> Option<FlushBatch> {
-        self.wal.seal_batch()
-    }
-
-    /// The durable WAL's I/O counters (`None` on the in-memory backend).
-    pub fn wal_stats(&self) -> Option<std::sync::Arc<o2pc_storage::WalStats>> {
-        self.wal.stats()
+    pub fn wal_mut(&mut self) -> &mut Wal {
+        &mut self.wal
     }
 
     /// Restart from a surviving WAL: committed and locally-committed state
@@ -905,7 +851,7 @@ impl Site {
     /// subtransactions keep their updates and re-acquire their write locks;
     /// locally-committed subtransactions with an unknown decision keep
     /// their commit records so they can still compensate.
-    pub fn recover(id: SiteId, config: SiteConfig, wal: WalBackend) -> Site {
+    pub fn recover(id: SiteId, config: SiteConfig, wal: Wal) -> Site {
         let recovered = wal.recover();
         let mut wal = wal;
         // Log the restart rollback (ARIES-style compensation records):
@@ -1178,7 +1124,7 @@ mod tests {
         s.begin(sub2, vec![Op::Add(Key(2), 13)], SimTime(4), &mut h);
         run_all(&mut s, sub2, SimTime(5), &mut h);
         // Crash.
-        let wal = s.crash();
+        let (wal, _) = s.crash();
         let s2 = Site::recover(SiteId(0), SiteConfig::default(), wal);
         assert_eq!(
             s2.get(Key(1)),
@@ -1212,7 +1158,7 @@ mod tests {
         s.vote(g(2), LockPolicy::ReleaseAll, false, SimTime(7), &mut h);
         s.decide(g(2), false, SimTime(8), &mut h);
 
-        let wal = s.crash();
+        let (wal, _) = s.crash();
         let mut s2 = Site::recover(SiteId(0), SiteConfig::default(), wal);
         let (state, _) = s2.answer_termination_query(g(1), SimTime(9), &mut h);
         assert_eq!(state, PeerState::KnowsCommit);

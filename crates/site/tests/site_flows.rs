@@ -234,7 +234,7 @@ fn crash_during_compensation_rolls_back_partial_ct() {
             ..
         }
     ));
-    let wal = s.crash();
+    let (wal, _) = s.crash();
     let s2 = Site::recover(SiteId(0), SiteConfig::default(), wal);
     // The locally-committed forward updates are durable; the half-finished
     // CT was rolled back by recovery (it re-runs from its retained plan in

@@ -360,6 +360,13 @@ fn decode_payload(payload: &[u8]) -> Option<LogRecord> {
 /// to.
 pub fn decode_all(bytes: &[u8]) -> (Vec<LogRecord>, usize) {
     let mut records = Vec::new();
+    let good = decode_frames(bytes, |_, rec| records.push(rec));
+    (records, good)
+}
+
+/// [`decode_all`], handing each record to `each` with the byte offset of
+/// its frame instead of collecting them. Returns the good-prefix length.
+pub fn decode_frames(bytes: &[u8], mut each: impl FnMut(usize, LogRecord)) -> usize {
     let mut pos = 0usize;
     while let Some(header) = bytes.get(pos..pos + FRAME_HEADER) {
         let len = u32::from_le_bytes(header[..4].try_into().unwrap());
@@ -376,10 +383,10 @@ pub fn decode_all(bytes: &[u8]) -> (Vec<LogRecord>, usize) {
         let Some(rec) = decode_payload(payload) else {
             break;
         };
-        records.push(rec);
+        each(pos, rec);
         pos += FRAME_HEADER + len as usize;
     }
-    (records, pos)
+    pos
 }
 
 #[cfg(test)]

@@ -1,12 +1,14 @@
-//! On-disk write-ahead log: segmented, preallocated, with coalesced group
+//! The file part of a [`Wal`]: segmented, preallocated, with coalesced group
 //! commit and torn-tail-tolerant recovery.
 //!
-//! [`DurableWal`] keeps the same logical surface as the in-memory
-//! [`Wal`] — `append`, `checkpoint`, `truncate_to_checkpoint`, `recover` —
-//! by maintaining a full in-memory *mirror* of the decoded log alongside the
-//! files. Recovery therefore runs the exact same `Wal::recover` code on the
-//! same record sequence the files hold, which is what makes the
-//! durable-vs-in-memory differential tests byte-for-byte meaningful.
+//! A log opened on a path ([`Wal::open`]) keeps its decoded records in the
+//! `Wal` exactly as an in-memory log does, and additionally frames every
+//! append into segment files. Recovery runs the same pure
+//! [`recover`](crate::wal::recover) over the same record sequence the files
+//! hold, which is what makes the durable-vs-in-memory differential tests
+//! byte-for-byte meaningful. Without a file part every durability operation
+//! below reports "already durable": tickets are 0, [`sync`] is `Ok(())` and
+//! [`Wal::seal_batch`] is `None`.
 //!
 //! ## Segmented layout
 //!
@@ -49,27 +51,26 @@
 //! [`FlushBatch::execute_all`] *coalesces* a burst of sealed batches into
 //! one buffered write + one fsync per touched segment file.
 //!
-//! [`sync`]: DurableWal::sync
-//! [`append_ticket`]: DurableWal::append_ticket
-//! [`durable_ticket`]: DurableWal::durable_ticket
-//! [`sealed_ticket`]: DurableWal::sealed_ticket
+//! [`sync`]: Wal::sync
+//! [`append_ticket`]: Wal::append_ticket
+//! [`durable_ticket`]: Wal::durable_ticket
+//! [`sealed_ticket`]: Wal::sealed_ticket
 //!
 //! ## Crash model
 //!
-//! A simulated crash ([`DurableWal::crash`]) is *adversarial*: unsynced
+//! A simulated crash ([`Wal::crash`]) is *adversarial*: unsynced
 //! bytes are discarded, every segment is cut back to the durable watermark
 //! (the maximum data loss an fsync-honouring disk permits), and later
 //! segments are deleted. An injected [`WriteFault`] is harsher still: it can
 //! tear a frame mid-write (short write), fail the write outright, or drop
 //! the file handles, leaving a tail only checksum validation can reject.
-//! Reopening with [`DurableWal::open`] discards any torn or corrupt tail —
+//! Reopening with [`Wal::open`] discards any torn or corrupt tail —
 //! first tear wins: nothing after the first bad frame, in this or any later
-//! segment, is replayed.
+//! segment, is replayed. The crash returns the records it cut off, so a
+//! caller can tell exactly which logged work the loss undid.
 
-use crate::codec::{decode_all, encode_frame};
-use crate::store::{Store, UndoRecord};
-use crate::wal::{LogRecord, RecoveredState, Wal};
-use o2pc_common::ExecId;
+use crate::codec::{decode_frames, encode_frame};
+use crate::wal::{CheckpointPos, LogRecord, Wal};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::os::unix::fs::FileExt;
@@ -84,7 +85,7 @@ pub const DEFAULT_SEGMENT_BYTES: u64 = 4 * 1024 * 1024;
 /// tell their segment files apart without comparing inodes.
 static WAL_UID: AtomicU64 = AtomicU64::new(0);
 
-/// Tuning knobs for opening a [`DurableWal`].
+/// Tuning knobs for opening a file-backed [`Wal`].
 #[derive(Clone, Copy, Debug)]
 pub struct WalOptions {
     /// Capacity of each preallocated segment; rotation point.
@@ -385,17 +386,16 @@ fn fsync_dir(path: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// An append-only, checksummed, segmented, file-backed WAL (see module docs).
+/// The file part of a file-backed [`Wal`]: segment files, the buffer of
+/// encoded frames not yet handed to the flush pipeline, byte tickets, and
+/// the injected-fault state. The decoded records live in the `Wal` itself.
 #[derive(Debug)]
-pub struct DurableWal {
+pub(crate) struct LogFile {
     root: PathBuf,
     opts: WalOptions,
     uid: u64,
     /// Segments in base order; the last is the append tail.
     segments: Vec<Segment>,
-    /// In-memory mirror of every appended record, including not-yet-durable
-    /// ones — the live log a running site recovers and audits against.
-    mem: Wal,
     /// Encoded frames appended since the last seal/sync (logical range
     /// `[sealed, appended)`), with `spans` mapping them onto segments.
     buf: Vec<u8>,
@@ -409,8 +409,6 @@ pub struct DurableWal {
     sealed: u64,
     /// Logical offset recovery starts at (the manifest's checkpoint record).
     start: u64,
-    /// Logical offset of the most recently appended checkpoint record.
-    last_checkpoint: Option<u64>,
     /// Physical bytes pushed toward the OS (fault accounting).
     written: u64,
     progress: Arc<FlushProgress>,
@@ -419,10 +417,12 @@ pub struct DurableWal {
     dead: bool,
 }
 
-impl DurableWal {
-    /// Open (or create) the WAL rooted at `path` with default options,
-    /// discarding any torn or checksum-failing tail, and mirror the
-    /// surviving records in memory.
+/// Alias of [`Wal`], the one log type; [`Wal::open`] makes it file-backed.
+pub type DurableWal = Wal;
+
+impl Wal {
+    /// Open (or create) the file-backed WAL rooted at `path` with default
+    /// options, discarding any torn or checksum-failing tail.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
         Self::open_with_opts(path, WalOptions::default())
     }
@@ -443,12 +443,13 @@ impl DurableWal {
     /// the first torn or corrupt frame — **first tear wins**: any later
     /// segment is deleted (its bytes were never covered by the watermark, so
     /// no promise depends on them), and the tail segment is re-zeroed past
-    /// the cut so stale bytes can never decode as valid frames later.
+    /// the cut so stale bytes can never decode as valid frames later. The
+    /// scan also finds the last checkpoint, so a reopened log compacts.
     pub fn open_with_opts(path: impl Into<PathBuf>, opts: WalOptions) -> io::Result<Self> {
         let root: PathBuf = path.into();
         assert!(opts.segment_bytes > 0, "segment_bytes must be positive");
         let stats = Arc::new(WalStats::default());
-        let mut found = Self::scan_segments(&root)?;
+        let mut found = LogFile::scan_segments(&root)?;
         found.sort_by_key(|&(base, _)| base);
         let start = read_manifest(&manifest_path(&root))
             .filter(|&s| found.first().is_none_or(|&(b, _)| s >= b))
@@ -457,6 +458,7 @@ impl DurableWal {
 
         let mut segments: Vec<Segment> = Vec::new();
         let mut records = Vec::new();
+        let mut last_checkpoint = None;
         let mut end = start;
         let mut torn = false;
         for (i, (base, path)) in found.iter().enumerate() {
@@ -480,8 +482,15 @@ impl DurableWal {
             let from = end - base; // == 0 for every segment after the first
             let mut bytes = Vec::with_capacity(capacity as usize);
             (&file).read_to_end(&mut bytes)?;
-            let (recs, good) = decode_all(&bytes[from as usize..]);
-            records.extend(recs);
+            let good = decode_frames(&bytes[from as usize..], |at, rec| {
+                if matches!(rec, LogRecord::Checkpoint { .. }) {
+                    last_checkpoint = Some(CheckpointPos {
+                        index: records.len(),
+                        offset: end + at as u64,
+                    });
+                }
+                records.push(rec);
+            });
             end = base + from + good as u64;
             let data_end = from as usize + good;
             // A stop before the physical end is a tear *unless* the next
@@ -503,30 +512,140 @@ impl DurableWal {
             });
         }
         if segments.is_empty() {
-            let seg = Self::create_segment(&root, start, opts.segment_bytes, &stats)?;
+            let seg = LogFile::create_segment(&root, start, opts.segment_bytes, &stats)?;
             segments.push(seg);
         }
-        Ok(DurableWal {
+        let file = LogFile {
             root,
             opts,
             uid: WAL_UID.fetch_add(1, Ordering::Relaxed),
             segments,
-            mem: Wal::from_records(records),
             buf: Vec::new(),
             spans: Vec::new(),
             frame: Vec::new(),
             appended: end,
             sealed: end,
             start,
-            last_checkpoint: None,
             written: end,
             progress: FlushProgress::new(end),
             stats,
             fault: opts.fault,
             dead: false,
+        };
+        Ok(Wal {
+            records,
+            last_checkpoint,
+            file: Some(Box::new(file)),
         })
     }
 
+    /// Root path of a file-backed WAL (segment files live next to it).
+    pub fn path(&self) -> Option<&Path> {
+        self.file.as_deref().map(|f| f.root.as_path())
+    }
+
+    /// Observable I/O counters, shared with this WAL's flush batches
+    /// (`None` for an in-memory log).
+    pub fn stats(&self) -> Option<Arc<WalStats>> {
+        self.file.as_deref().map(|f| Arc::clone(&f.stats))
+    }
+
+    /// Shared watermark cell, for flusher wiring and tests (`None` for an
+    /// in-memory log).
+    pub fn progress(&self) -> Option<Arc<FlushProgress>> {
+        self.file.as_deref().map(|f| Arc::clone(&f.progress))
+    }
+
+    /// Bases of the live segment files, in order (tests / diagnostics).
+    pub fn segment_bases(&self) -> Vec<u64> {
+        self.file
+            .as_deref()
+            .map(|f| f.segments.iter().map(|s| s.base).collect())
+            .unwrap_or_default()
+    }
+
+    /// Ticket covering everything appended so far (0 in memory).
+    #[inline]
+    pub fn append_ticket(&self) -> u64 {
+        self.file.as_deref().map_or(0, |f| f.appended)
+    }
+
+    /// Current durable watermark (0 in memory).
+    #[inline]
+    pub fn durable_ticket(&self) -> u64 {
+        self.file.as_deref().map_or(0, |f| f.progress.durable())
+    }
+
+    /// Sealed watermark: bytes handed to the flush pipeline (inline or as a
+    /// sealed batch), in order; 0 in memory. On the deterministic simulator
+    /// this is the release gate — the pipeline *will* make these bytes
+    /// durable, and every crash/checkpoint/shutdown path synchronises on it
+    /// first. A dead WAL reports its durable watermark: nothing more will
+    /// ever seal.
+    #[inline]
+    pub fn sealed_ticket(&self) -> u64 {
+        self.file.as_deref().map_or(0, |f| {
+            if f.dead {
+                f.progress.durable()
+            } else {
+                f.sealed
+            }
+        })
+    }
+
+    /// Bytes appended but not yet sealed or synced (0 in memory).
+    #[inline]
+    pub fn pending_bytes(&self) -> u64 {
+        self.file.as_deref().map_or(0, |f| f.buf.len() as u64)
+    }
+
+    /// True when appended bytes are not yet durable (a flush is owed).
+    #[inline]
+    pub fn is_dirty(&self) -> bool {
+        self.file
+            .as_deref()
+            .is_some_and(|f| f.appended > f.progress.durable())
+    }
+
+    /// True once an injected fault has fired (the log device is gone).
+    pub fn is_dead(&self) -> bool {
+        self.file.as_deref().is_some_and(|f| f.dead)
+    }
+
+    /// Write buffered frames and fsync: one group commit, inline. Advances
+    /// the durable watermark past every record appended since the last
+    /// flush. Waits for any sealed batches first — the log must become
+    /// durable strictly in order. `Ok(())` in memory.
+    pub fn sync(&mut self) -> io::Result<()> {
+        match self.file.as_deref_mut() {
+            Some(f) => f.sync(),
+            None => Ok(()),
+        }
+    }
+
+    /// Seal the buffered frames into a [`FlushBatch`] for a background
+    /// flusher and advance the sealed watermark. Returns `None` in memory,
+    /// when there is nothing to flush, or when the WAL must stay inline
+    /// (fault armed / dead — asynchronous writes would make the fault point
+    /// nondeterministic).
+    pub fn seal_batch(&mut self) -> Option<FlushBatch> {
+        self.file.as_deref_mut()?.seal()
+    }
+
+    /// Group-commit flush point: seal the pending bytes for a background
+    /// flusher, or — on a fault-armed or dead WAL, whose fault point must
+    /// stay deterministic — write and fsync them inline. An error means the
+    /// log device failed. `Ok(None)` in memory.
+    pub fn flush(&mut self) -> io::Result<Option<FlushBatch>> {
+        match self.file.as_deref_mut() {
+            Some(f) if f.fault.is_some() || f.dead => f.sync().map(|()| None),
+            Some(f) => Ok(f.seal()),
+            None => Ok(None),
+        }
+    }
+}
+
+impl LogFile {
     fn scan_segments(root: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
         let dir = match root.parent() {
             Some(p) if !p.as_os_str().is_empty() => p,
@@ -592,21 +711,6 @@ impl DurableWal {
         })
     }
 
-    /// Root path of the WAL (segment files live next to it).
-    pub fn path(&self) -> &Path {
-        &self.root
-    }
-
-    /// Observable I/O counters (shared with this WAL's flush batches).
-    pub fn stats(&self) -> Arc<WalStats> {
-        Arc::clone(&self.stats)
-    }
-
-    /// Bases of the live segment files, in order (tests / diagnostics).
-    pub fn segment_bases(&self) -> Vec<u64> {
-        self.segments.iter().map(|s| s.base).collect()
-    }
-
     /// Rotate if the incoming frame would not fit the tail segment. The
     /// frame is placed *entirely* in one segment — by construction it can
     /// never straddle a boundary.
@@ -648,14 +752,11 @@ impl DurableWal {
         }
     }
 
-    /// Append a record (buffered; durable at the next flush).
-    pub fn append(&mut self, rec: LogRecord) {
+    /// Encode `rec` onto the pending buffer (rotating first if it would
+    /// not fit the tail segment) and return the logical offset of its frame.
+    pub(crate) fn append(&mut self, rec: &LogRecord) -> u64 {
         self.frame.clear();
-        let n = encode_frame(&rec, &mut self.frame) as u64;
-        if matches!(rec, LogRecord::Checkpoint { .. }) {
-            self.last_checkpoint = Some(self.appended);
-        }
-        self.mem.append(rec);
+        let n = encode_frame(rec, &mut self.frame) as u64;
         if !self.dead {
             self.ensure_capacity(n);
         }
@@ -678,66 +779,9 @@ impl DurableWal {
             }
             self.buf.extend_from_slice(&self.frame);
         }
+        let at = self.appended;
         self.appended += n;
-    }
-
-    /// Convenience mirror of [`Wal::append_update`].
-    pub fn append_update(&mut self, exec: ExecId, rec: &UndoRecord) {
-        self.append(LogRecord::Update {
-            exec,
-            key: rec.key,
-            before: rec.before,
-            after: rec.after,
-        });
-    }
-
-    /// Ticket covering everything appended so far.
-    pub fn append_ticket(&self) -> u64 {
-        self.appended
-    }
-
-    /// Current durable watermark.
-    pub fn durable_ticket(&self) -> u64 {
-        self.progress.durable()
-    }
-
-    /// Sealed watermark: bytes handed to the flush pipeline (inline or as a
-    /// sealed batch), in order. On the deterministic simulator this is the
-    /// release gate — the pipeline *will* make these bytes durable, and
-    /// every crash/checkpoint/shutdown path synchronises on it first. A dead
-    /// WAL reports its durable watermark: nothing more will ever seal.
-    pub fn sealed_ticket(&self) -> u64 {
-        if self.dead {
-            self.progress.durable()
-        } else {
-            self.sealed
-        }
-    }
-
-    /// Bytes appended but not yet sealed or synced.
-    pub fn pending_bytes(&self) -> u64 {
-        self.buf.len() as u64
-    }
-
-    /// True when appended bytes are not yet durable (a flush is owed).
-    pub fn is_dirty(&self) -> bool {
-        self.appended > self.progress.durable()
-    }
-
-    /// True when this WAL must flush inline (fault armed, so the fault point
-    /// stays deterministic; or already dead).
-    pub fn inline_only(&self) -> bool {
-        self.fault.is_some() || self.dead
-    }
-
-    /// True once an injected fault has fired (the log device is gone).
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-
-    /// Shared watermark cell (for flusher wiring and tests).
-    pub fn progress(&self) -> Arc<FlushProgress> {
-        Arc::clone(&self.progress)
+        at
     }
 
     fn fault_check(&mut self, len: usize) -> io::Result<usize> {
@@ -789,11 +833,8 @@ impl DurableWal {
         Ok(())
     }
 
-    /// Write buffered frames and fsync: one group commit, inline. Advances
-    /// the durable watermark past every record appended since the last
-    /// flush. Waits for any sealed batches first — the log must become
-    /// durable strictly in order.
-    pub fn sync(&mut self) -> io::Result<()> {
+    /// Write the pending buffer and fsync (see [`Wal::sync`]).
+    fn sync(&mut self) -> io::Result<()> {
         if self.dead {
             // A dead WAL never advances its watermark — waiting would hang.
             return Err(io::Error::other("wal is dead"));
@@ -824,12 +865,9 @@ impl DurableWal {
         Ok(())
     }
 
-    /// Seal the buffered frames into a [`FlushBatch`] for a background
-    /// flusher and advance the sealed watermark. Returns `None` when there
-    /// is nothing to flush or the WAL must stay inline (fault armed / dead —
-    /// asynchronous writes would make the fault point nondeterministic).
-    pub fn seal_batch(&mut self) -> Option<FlushBatch> {
-        if self.buf.is_empty() || self.inline_only() {
+    /// Seal the pending buffer (see [`Wal::seal_batch`]).
+    fn seal(&mut self) -> Option<FlushBatch> {
+        if self.buf.is_empty() || self.fault.is_some() || self.dead {
             return None;
         }
         let mut writes = Vec::with_capacity(self.spans.len());
@@ -856,29 +894,18 @@ impl DurableWal {
         })
     }
 
-    /// Mirror of [`Wal::checkpoint`].
-    pub fn checkpoint(&mut self, store: &Store) {
-        let mut items: Vec<_> = store.iter().collect();
-        items.sort_unstable_by_key(|&(k, _)| k);
-        self.append(LogRecord::Checkpoint { items });
-    }
-
-    /// Log reclamation: drop records before the last checkpoint and delete
-    /// whole stale segments. The live-log start offset is recorded in the
-    /// manifest (written to a temp file, fsynced, atomically renamed, and
-    /// the directory fsynced — every step's error is surfaced), so a crash
-    /// at any point leaves either the old manifest or the new one, and the
-    /// segments both generations need still exist. Byte tickets remain
+    /// Log reclamation from the checkpoint record at logical offset `ckpt`:
+    /// delete whole stale segments. The live-log start offset is recorded in
+    /// the manifest (written to a temp file, fsynced, atomically renamed,
+    /// and the directory fsynced — every step's error is surfaced), so a
+    /// crash at any point leaves either the old manifest or the new one, and
+    /// the segments both generations need still exist. Byte tickets remain
     /// monotone — nothing is renumbered, only deleted.
-    pub fn truncate_to_checkpoint(&mut self) -> io::Result<()> {
+    pub(crate) fn compact(&mut self, ckpt: u64) -> io::Result<()> {
         // Everything must be durable before segments are condemned: a
         // sealed-but-unflushed batch must not target a deleted file.
         self.sync()?;
         self.progress.wait_for(self.appended)?;
-        let Some(ckpt) = self.last_checkpoint.filter(|&c| c >= self.start) else {
-            return Ok(()); // no checkpoint since the live-log start
-        };
-        self.mem.truncate_to_checkpoint();
         // Manifest bytes count against the fault budget like any other
         // physical write to the log device.
         let manifest = encode_manifest(ckpt);
@@ -918,12 +945,13 @@ impl DurableWal {
         Ok(())
     }
 
-    /// Simulated crash: lose the unsynced buffer, cut every segment back to
-    /// the durable watermark (adversarial: maximum permitted loss), delete
-    /// segments past it, and reopen. A dead WAL (injected fault) skips the
-    /// truncation — whatever the fault left on disk, including a torn
-    /// frame, is what recovery must cope with.
-    pub fn crash(mut self) -> io::Result<DurableWal> {
+    /// The disk side of a simulated crash: lose the unsynced buffer, cut
+    /// every segment back to the durable watermark (adversarial: maximum
+    /// permitted loss), delete segments past it, and close the files,
+    /// returning what [`Wal::crash`] reopens with. A dead WAL (injected
+    /// fault) skips the truncation — whatever the fault left on disk,
+    /// including a torn frame, is what recovery must cope with.
+    pub(crate) fn cut_to_watermark(self) -> io::Result<(PathBuf, WalOptions)> {
         if !self.dead {
             // Let in-flight background batches land, then cut at the
             // watermark; without this a late flusher write could resurrect
@@ -947,39 +975,16 @@ impl DurableWal {
             segment_bytes: self.opts.segment_bytes,
             fault: None,
         };
-        let root = std::mem::take(&mut self.root);
-        drop(self);
-        DurableWal::open_with_opts(root, opts)
-    }
-
-    // ----- logical surface (delegates to the mirror) -----
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.mem.len()
-    }
-
-    /// True when the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.mem.is_empty()
-    }
-
-    /// All records (tests / audits).
-    pub fn records(&self) -> &[LogRecord] {
-        self.mem.records()
-    }
-
-    /// Crash recovery over the mirrored records — same code, same result as
-    /// the in-memory backend on the same history.
-    pub fn recover(&self) -> RecoveredState {
-        self.mem.recover()
+        Ok((self.root, opts))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use o2pc_common::{GlobalTxnId, Key, Op, Value};
+    use crate::codec::decode_all;
+    use crate::store::Store;
+    use o2pc_common::{ExecId, GlobalTxnId, Key, Op, Value};
 
     fn sub(i: u64) -> ExecId {
         ExecId::Sub(GlobalTxnId(i))
@@ -992,8 +997,8 @@ mod tests {
         dir.join("site.wal")
     }
 
-    fn small(path: &Path, segment_bytes: u64) -> DurableWal {
-        DurableWal::open_with_opts(
+    fn small(path: &Path, segment_bytes: u64) -> Wal {
+        Wal::open_with_opts(
             path,
             WalOptions {
                 segment_bytes,
@@ -1003,7 +1008,7 @@ mod tests {
         .unwrap()
     }
 
-    fn sample_workload(w: &mut DurableWal) {
+    fn sample_workload(w: &mut Wal) {
         let mut store = Store::new();
         store.load(Key(1), Value(10));
         store.load(Key(2), Value(20));
@@ -1018,12 +1023,12 @@ mod tests {
     #[test]
     fn reopen_replays_synced_records() {
         let path = tmp("reopen");
-        let mut w = DurableWal::open(&path).unwrap();
+        let mut w = Wal::open(&path).unwrap();
         sample_workload(&mut w);
         w.sync().unwrap();
         let recs = w.records().to_vec();
         drop(w);
-        let w2 = DurableWal::open(&path).unwrap();
+        let w2 = Wal::open(&path).unwrap();
         assert_eq!(w2.records(), &recs[..]);
         assert_eq!(
             w2.recover().items,
@@ -1034,7 +1039,7 @@ mod tests {
     #[test]
     fn tickets_and_dirtiness() {
         let path = tmp("tickets");
-        let mut w = DurableWal::open(&path).unwrap();
+        let mut w = Wal::open(&path).unwrap();
         assert!(!w.is_dirty());
         w.append(LogRecord::Begin(sub(1)));
         let t = w.append_ticket();
@@ -1052,23 +1057,20 @@ mod tests {
     #[test]
     fn crash_loses_unsynced_tail_only() {
         let path = tmp("crash");
-        let mut w = DurableWal::open(&path).unwrap();
+        let mut w = Wal::open(&path).unwrap();
         sample_workload(&mut w);
         w.sync().unwrap();
         let durable_len = w.len();
         w.append(LogRecord::Begin(sub(9))); // never synced
-        let w2 = w.crash().unwrap();
-        assert_eq!(w2.len(), durable_len, "unsynced record gone");
-        assert!(!w2
-            .records()
-            .iter()
-            .any(|r| matches!(r, LogRecord::Begin(e) if *e == sub(9))));
+        let lost = w.crash().unwrap();
+        assert_eq!(w.len(), durable_len, "unsynced record gone");
+        assert_eq!(lost, vec![LogRecord::Begin(sub(9))], "and reported lost");
     }
 
     #[test]
     fn seal_batch_advances_watermark_on_execute() {
         let path = tmp("seal");
-        let mut w = DurableWal::open(&path).unwrap();
+        let mut w = Wal::open(&path).unwrap();
         w.append(LogRecord::Begin(sub(2)));
         let t = w.append_ticket();
         let batch = w.seal_batch().unwrap();
@@ -1081,14 +1083,14 @@ mod tests {
         // Nothing left to seal.
         assert!(w.seal_batch().is_none());
         drop(w);
-        assert_eq!(DurableWal::open(&path).unwrap().len(), 1);
+        assert_eq!(Wal::open(&path).unwrap().len(), 1);
     }
 
     #[test]
     fn burst_of_batches_costs_one_fsync() {
         let path = tmp("coalesce");
-        let mut w = DurableWal::open(&path).unwrap();
-        let stats = w.stats();
+        let mut w = Wal::open(&path).unwrap();
+        let stats = w.stats().unwrap();
         let mut batches = Vec::new();
         for i in 0..8 {
             w.append(LogRecord::Begin(sub(i)));
@@ -1104,7 +1106,7 @@ mod tests {
         );
         assert_eq!(w.durable_ticket(), t);
         drop(w);
-        assert_eq!(DurableWal::open(&path).unwrap().len(), 8);
+        assert_eq!(Wal::open(&path).unwrap().len(), 8);
     }
 
     #[test]
@@ -1181,14 +1183,49 @@ mod tests {
     }
 
     #[test]
+    fn reopened_log_compacts_to_its_last_checkpoint() {
+        let path = tmp("reopen-ckpt");
+        let mut w = small(&path, 96);
+        let mut store = Store::new();
+        store.load(Key(1), Value(1));
+        w.checkpoint(&store); // A
+        for i in 0..12 {
+            w.append(LogRecord::Begin(sub(i)));
+        }
+        store.load(Key(2), Value(2));
+        let b_at = w.append_ticket();
+        w.checkpoint(&store); // B
+        w.append(LogRecord::Begin(sub(99)));
+        w.sync().unwrap();
+        let from_b = w.records()[w.len() - 2..].to_vec();
+        drop(w);
+
+        let mut w = small(&path, 96);
+        let bases = w.segment_bases();
+        assert!(bases.len() > 2, "the history must span segments: {bases:?}");
+        w.truncate_to_checkpoint().unwrap();
+        assert_eq!(w.records(), &from_b[..], "records start at checkpoint B");
+        let kept = w.segment_bases();
+        assert!(kept[0] <= b_at && kept.get(1).is_none_or(|&b| b > b_at));
+        for base in bases.iter().filter(|&&b| b < kept[0]) {
+            assert!(
+                !segment_path(&path, *base).exists(),
+                "segment {base:#x} before B's survived compaction"
+            );
+        }
+        drop(w);
+        assert_eq!(small(&path, 96).records(), &from_b[..]);
+    }
+
+    #[test]
     fn torn_fault_leaves_recoverable_prefix() {
         let path = tmp("torn");
-        let mut w = DurableWal::open(&path).unwrap();
+        let mut w = Wal::open(&path).unwrap();
         sample_workload(&mut w);
         w.sync().unwrap();
         let good = w.records().to_vec();
         let cut = w.append_ticket() + 5; // tear 5 bytes into the next frame
-        let mut w = DurableWal::open_with(
+        let mut w = Wal::open_with(
             &path,
             Some(WriteFault {
                 fail_after: cut,
@@ -1196,14 +1233,13 @@ mod tests {
             }),
         )
         .unwrap();
-        assert!(w.inline_only(), "fault-armed wal never seals");
-        assert!(w.seal_batch().is_none());
         w.append(LogRecord::Begin(sub(7)));
+        assert!(w.seal_batch().is_none(), "fault-armed wal never seals");
         assert!(w.sync().is_err());
         assert!(w.is_dead());
         drop(w);
         // The segment now ends in a torn frame; open discards it.
-        let w2 = DurableWal::open(&path).unwrap();
+        let w2 = Wal::open(&path).unwrap();
         assert_eq!(w2.records(), &good[..]);
     }
 
@@ -1214,7 +1250,7 @@ mod tests {
                 FaultKind::Error => "err",
                 _ => "drop",
             });
-            let mut w = DurableWal::open_with(
+            let mut w = Wal::open_with(
                 &path,
                 Some(WriteFault {
                     fail_after: 0,
@@ -1227,19 +1263,19 @@ mod tests {
             assert!(w.is_dead());
             assert!(w.sync().is_err(), "dead wal stays dead");
             // Nothing reached disk.
-            assert_eq!(DurableWal::open(&path).unwrap().len(), 0);
+            assert_eq!(Wal::open(&path).unwrap().len(), 0);
         }
     }
 
     #[test]
     fn crash_of_dead_wal_recovers_durable_prefix() {
         let path = tmp("deadcrash");
-        let mut w = DurableWal::open(&path).unwrap();
+        let mut w = Wal::open(&path).unwrap();
         sample_workload(&mut w);
         w.sync().unwrap();
         let good = w.records().to_vec();
         let cut = w.append_ticket() + 3;
-        let mut w = DurableWal::open_with(
+        let mut w = Wal::open_with(
             &path,
             Some(WriteFault {
                 fail_after: cut,
@@ -1249,14 +1285,14 @@ mod tests {
         .unwrap();
         w.append(LogRecord::Begin(sub(8)));
         let _ = w.sync();
-        let w2 = w.crash().unwrap();
-        assert_eq!(w2.records(), &good[..]);
+        w.crash().unwrap();
+        assert_eq!(w.records(), &good[..]);
     }
 
     #[test]
     fn compaction_write_fault_surfaces_instead_of_being_swallowed() {
         let path = tmp("compfault");
-        let mut w = DurableWal::open(&path).unwrap();
+        let mut w = Wal::open(&path).unwrap();
         sample_workload(&mut w);
         w.sync().unwrap();
         let synced = w.append_ticket();
@@ -1264,7 +1300,7 @@ mod tests {
         // Re-arm so the data sync passes but the manifest write (the
         // rename's durability point) trips the fault: the error must
         // propagate out of truncate_to_checkpoint, not vanish.
-        let mut w = DurableWal::open_with(
+        let mut w = Wal::open_with(
             &path,
             Some(WriteFault {
                 fail_after: synced + 1,
@@ -1291,16 +1327,15 @@ mod tests {
         for i in 6..12 {
             w.append(LogRecord::Begin(sub(i))); // unsynced, spans a rotation
         }
-        let w2 = w.crash().unwrap();
-        assert_eq!(w2.records(), &durable[..]);
+        w.crash().unwrap();
+        assert_eq!(w.records(), &durable[..]);
         // And the reopened WAL keeps appending across segments correctly.
-        let mut w2 = w2;
         for i in 20..26 {
-            w2.append(LogRecord::Begin(sub(i)));
+            w.append(LogRecord::Begin(sub(i)));
         }
-        w2.sync().unwrap();
-        let all = w2.records().to_vec();
-        drop(w2);
+        w.sync().unwrap();
+        let all = w.records().to_vec();
+        drop(w);
         assert_eq!(small(&path, 80).records(), &all[..]);
     }
 

@@ -12,9 +12,11 @@
 //! the crash wrote their own reversing `Update` records followed by `Abort`
 //! (compensation-log-record style), so replay is idempotent.
 
+use crate::durable::LogFile;
 use crate::store::{CommitRecord, Store, UndoRecord};
 use o2pc_common::{ExecId, GlobalTxnId, Key, Value};
 use std::collections::{HashMap, HashSet};
+use std::io;
 use std::sync::Arc;
 
 /// One log record.
@@ -71,7 +73,23 @@ pub enum LogRecord {
     },
 }
 
-/// The state reconstructed by [`Wal::recover`].
+impl LogRecord {
+    /// The execution this record belongs to (`None` for decisions and
+    /// checkpoints).
+    pub fn exec(&self) -> Option<ExecId> {
+        match self {
+            LogRecord::Begin(e)
+            | LogRecord::Commit(e)
+            | LogRecord::Abort(e)
+            | LogRecord::Prepared(e)
+            | LogRecord::Update { exec: e, .. }
+            | LogRecord::LocalCommit { exec: e, .. } => Some(*e),
+            LogRecord::Outcome { .. } | LogRecord::Checkpoint { .. } => None,
+        }
+    }
+}
+
+/// The state reconstructed by [`recover`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveredState {
     /// Recovered store contents.
@@ -120,40 +138,50 @@ impl RecoveredState {
     }
 }
 
-/// An in-memory write-ahead log.
+/// The write-ahead log: the decoded record sequence, held exactly once, plus
+/// an optional file part.
 ///
-/// Durability is simulated: the log survives a simulated site crash (the
-/// `Site` is dropped, the `Wal` is kept), which is exactly the fault model
-/// the experiments need.
-#[derive(Clone, Debug, Default)]
+/// Without a file part ([`Wal::new`]) the log lives in memory only: an
+/// append is a `Vec` push with no encoding, every record counts as durable
+/// the moment it is appended, and a simulated crash keeps everything (the
+/// site is dropped, its log survives). With a file part ([`Wal::open`]) each
+/// append is also framed into segment files; the durability surface —
+/// tickets, [`sync`](Wal::sync), [`seal_batch`](Wal::seal_batch) — lives in
+/// [`crate::durable`].
+#[derive(Debug, Default)]
 pub struct Wal {
-    records: Vec<LogRecord>,
-    last_checkpoint: Option<usize>,
+    pub(crate) records: Vec<LogRecord>,
+    pub(crate) last_checkpoint: Option<CheckpointPos>,
+    pub(crate) file: Option<Box<LogFile>>,
+}
+
+/// Where the most recent checkpoint record sits: its index in the record
+/// sequence and its logical byte offset on disk (0 for an in-memory log).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct CheckpointPos {
+    pub(crate) index: usize,
+    pub(crate) offset: u64,
 }
 
 impl Wal {
-    /// New empty log.
+    /// New empty in-memory log.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Rebuild a log from an already-decoded record sequence (used by the
-    /// durable backend to mirror the on-disk log in memory).
-    pub fn from_records(records: Vec<LogRecord>) -> Self {
-        let last_checkpoint = records
-            .iter()
-            .rposition(|r| matches!(r, LogRecord::Checkpoint { .. }));
-        Wal {
-            records,
-            last_checkpoint,
-        }
-    }
-
-    /// Append a record.
+    /// Append a record (on a file-backed log: buffered, durable at the next
+    /// flush).
     #[inline]
     pub fn append(&mut self, rec: LogRecord) {
+        let offset = match self.file.as_deref_mut() {
+            Some(f) => f.append(&rec),
+            None => 0,
+        };
         if matches!(rec, LogRecord::Checkpoint { .. }) {
-            self.last_checkpoint = Some(self.records.len());
+            self.last_checkpoint = Some(CheckpointPos {
+                index: self.records.len(),
+                offset,
+            });
         }
         self.records.push(rec);
     }
@@ -195,177 +223,207 @@ impl Wal {
     }
 
     /// Truncate the log to the last checkpoint (log reclamation). Records
-    /// before the checkpoint can never be needed again.
-    pub fn truncate_to_checkpoint(&mut self) {
-        if let Some(cp) = self.last_checkpoint {
-            self.records.drain(..cp);
-            self.last_checkpoint = Some(0);
+    /// before the checkpoint can never be needed again. A file-backed log
+    /// first makes everything durable, then records the new start in its
+    /// manifest and deletes the segments wholly before it; its error is
+    /// surfaced and leaves the records untouched.
+    pub fn truncate_to_checkpoint(&mut self) -> io::Result<()> {
+        let Some(cp) = self.last_checkpoint.filter(|cp| cp.index > 0) else {
+            return Ok(()); // no checkpoint, or the log already starts at it
+        };
+        if let Some(f) = self.file.as_deref_mut() {
+            f.compact(cp.offset)?;
+        }
+        self.records.drain(..cp.index);
+        self.last_checkpoint = Some(CheckpointPos { index: 0, ..cp });
+        Ok(())
+    }
+
+    /// Crash recovery: rebuild site state from the log.
+    pub fn recover(&self) -> RecoveredState {
+        recover(&self.records)
+    }
+
+    /// Simulated crash: keep what survives on the log device and return the
+    /// records the crash lost, in log order. Every log follows one model —
+    /// truncate to the durable watermark and reopen. A file-backed log loses
+    /// its unsynced tail (see [`crate::durable`]); an in-memory log's
+    /// watermark is always its end, so it loses nothing.
+    pub fn crash(&mut self) -> io::Result<Vec<LogRecord>> {
+        let Some(file) = self.file.take() else {
+            return Ok(Vec::new());
+        };
+        let (root, opts) = file.cut_to_watermark()?;
+        let survivor = Wal::open_with_opts(root, opts)?;
+        debug_assert!(
+            survivor.len() <= self.records.len(),
+            "a crash invents no records"
+        );
+        let lost = self.records.split_off(survivor.len());
+        *self = survivor;
+        Ok(lost)
+    }
+}
+
+/// Crash recovery over a record sequence: rebuild store state from its last
+/// checkpoint. A pure function of the records — [`Wal::recover`] is this over
+/// the live log, so the same history recovers identically from memory and
+/// from disk.
+pub fn recover(records: &[LogRecord]) -> RecoveredState {
+    let start = records
+        .iter()
+        .rposition(|r| matches!(r, LogRecord::Checkpoint { .. }))
+        .unwrap_or(0);
+    let mut items: HashMap<Key, Option<Value>> = HashMap::new();
+    if let Some(LogRecord::Checkpoint { items: snap }) = records.get(start) {
+        for &(k, v) in snap {
+            items.insert(k, Some(v));
         }
     }
 
-    /// Crash recovery: rebuild store state from the last checkpoint.
-    pub fn recover(&self) -> RecoveredState {
-        let start = self.last_checkpoint.unwrap_or(0);
-        let mut items: HashMap<Key, Option<Value>> = HashMap::new();
-        if let Some(LogRecord::Checkpoint { items: snap }) = self.records.get(start) {
-            for &(k, v) in snap {
-                items.insert(k, Some(v));
-            }
+    // Local-id watermark: scan the whole log (not just past the
+    // checkpoint) so a recovered site never reuses a local `TxnId`.
+    let mut next_local_seq = 0u64;
+    for rec in records {
+        if let Some(ExecId::Local(l)) = rec.exec() {
+            next_local_seq = next_local_seq.max(l.seq + 1);
         }
+    }
 
-        // Local-id watermark: scan the whole log (not just past the
-        // checkpoint) so a recovered site never reuses a local `TxnId`.
-        let mut next_local_seq = 0u64;
-        for rec in &self.records {
-            let exec = match rec {
-                LogRecord::Begin(e)
-                | LogRecord::Commit(e)
-                | LogRecord::Abort(e)
-                | LogRecord::Prepared(e) => Some(e),
-                LogRecord::Update { exec, .. } => Some(exec),
-                LogRecord::LocalCommit { exec, .. } => Some(exec),
-                _ => None,
-            };
-            if let Some(ExecId::Local(l)) = exec {
-                next_local_seq = next_local_seq.max(l.seq + 1);
-            }
-        }
-
-        // Redo pass.
-        let mut terminated: HashSet<ExecId> = HashSet::new();
-        let mut committed: Vec<ExecId> = Vec::new();
-        let mut prepared_set: HashSet<ExecId> = HashSet::new();
-        let mut local_commits: HashMap<GlobalTxnId, Arc<CommitRecord>> = HashMap::new();
-        let mut outcomes: HashMap<GlobalTxnId, bool> = HashMap::new();
-        let mut comp_done: HashSet<GlobalTxnId> = HashSet::new();
-        let mut pending: HashMap<ExecId, Vec<(Key, Option<Value>)>> = HashMap::new();
-        let mut order: Vec<ExecId> = Vec::new();
-        for rec in &self.records[start..] {
-            match rec {
-                LogRecord::Begin(e) => {
-                    if !pending.contains_key(e) && !terminated.contains(e) {
-                        pending.insert(*e, Vec::new());
-                        order.push(*e);
-                    }
+    // Redo pass.
+    let mut terminated: HashSet<ExecId> = HashSet::new();
+    let mut committed: Vec<ExecId> = Vec::new();
+    let mut prepared_set: HashSet<ExecId> = HashSet::new();
+    let mut local_commits: HashMap<GlobalTxnId, Arc<CommitRecord>> = HashMap::new();
+    let mut outcomes: HashMap<GlobalTxnId, bool> = HashMap::new();
+    let mut comp_done: HashSet<GlobalTxnId> = HashSet::new();
+    let mut pending: HashMap<ExecId, Vec<(Key, Option<Value>)>> = HashMap::new();
+    let mut order: Vec<ExecId> = Vec::new();
+    for rec in &records[start..] {
+        match rec {
+            LogRecord::Begin(e) => {
+                if !pending.contains_key(e) && !terminated.contains(e) {
+                    pending.insert(*e, Vec::new());
+                    order.push(*e);
                 }
-                LogRecord::Update {
-                    exec,
+            }
+            LogRecord::Update {
+                exec,
+                key,
+                before,
+                after,
+            } => {
+                items.insert(*key, *after);
+                pending.entry(*exec).or_insert_with(|| {
+                    order.push(*exec);
+                    Vec::new()
+                });
+                if let Some(undo) = pending.get_mut(exec) {
+                    undo.push((*key, *before));
+                }
+            }
+            LogRecord::Commit(e) => {
+                terminated.insert(*e);
+                committed.push(*e);
+                prepared_set.remove(e);
+                pending.remove(e);
+                if let ExecId::CompSub(g) = e {
+                    comp_done.insert(*g);
+                }
+            }
+            LogRecord::Prepared(e) => {
+                prepared_set.insert(*e);
+            }
+            LogRecord::LocalCommit { exec, record } => {
+                terminated.insert(*exec);
+                committed.push(*exec);
+                prepared_set.remove(exec);
+                pending.remove(exec);
+                if let ExecId::Sub(g) = exec {
+                    local_commits.insert(*g, record.clone());
+                }
+            }
+            LogRecord::Outcome { txn, commit } => {
+                outcomes.insert(*txn, *commit);
+            }
+            LogRecord::Abort(e) => {
+                terminated.insert(*e);
+                prepared_set.remove(e);
+                pending.remove(e);
+            }
+            LogRecord::Checkpoint { .. } => {}
+        }
+    }
+
+    // Undo pass: reverse the updates of every in-flight execution,
+    // newest execution first, each execution's updates newest first —
+    // except *prepared* executions, whose updates must survive.
+    let mut rolled_back = Vec::new();
+    let mut rollback_records = Vec::new();
+    let mut prepared = Vec::new();
+    let mut undone_seen: HashSet<ExecId> = HashSet::new();
+    for e in order.iter().rev() {
+        if prepared_set.contains(e) || !undone_seen.insert(*e) {
+            continue;
+        }
+        if let Some(undo) = pending.get(e) {
+            for &(key, before) in undo.iter().rev() {
+                let prev = items.get(&key).copied().flatten();
+                items.insert(key, before);
+                rollback_records.push(LogRecord::Update {
+                    exec: *e,
                     key,
-                    before,
-                    after,
-                } => {
-                    items.insert(*key, *after);
-                    pending.entry(*exec).or_insert_with(|| {
-                        order.push(*exec);
-                        Vec::new()
-                    });
-                    if let Some(undo) = pending.get_mut(exec) {
-                        undo.push((*key, *before));
-                    }
-                }
-                LogRecord::Commit(e) => {
-                    terminated.insert(*e);
-                    committed.push(*e);
-                    prepared_set.remove(e);
-                    pending.remove(e);
-                    if let ExecId::CompSub(g) = e {
-                        comp_done.insert(*g);
-                    }
-                }
-                LogRecord::Prepared(e) => {
-                    prepared_set.insert(*e);
-                }
-                LogRecord::LocalCommit { exec, record } => {
-                    terminated.insert(*exec);
-                    committed.push(*exec);
-                    prepared_set.remove(exec);
-                    pending.remove(exec);
-                    if let ExecId::Sub(g) = exec {
-                        local_commits.insert(*g, record.clone());
-                    }
-                }
-                LogRecord::Outcome { txn, commit } => {
-                    outcomes.insert(*txn, *commit);
-                }
-                LogRecord::Abort(e) => {
-                    terminated.insert(*e);
-                    prepared_set.remove(e);
-                    pending.remove(e);
-                }
-                LogRecord::Checkpoint { .. } => {}
+                    before: prev,
+                    after: before,
+                });
             }
+            rollback_records.push(LogRecord::Abort(*e));
+            rolled_back.push(*e);
         }
-
-        // Undo pass: reverse the updates of every in-flight execution,
-        // newest execution first, each execution's updates newest first —
-        // except *prepared* executions, whose updates must survive.
-        let mut rolled_back = Vec::new();
-        let mut rollback_records = Vec::new();
-        let mut prepared = Vec::new();
-        let mut undone_seen: HashSet<ExecId> = HashSet::new();
-        for e in order.iter().rev() {
-            if prepared_set.contains(e) || !undone_seen.insert(*e) {
-                continue;
-            }
-            if let Some(undo) = pending.get(e) {
-                for &(key, before) in undo.iter().rev() {
-                    let prev = items.get(&key).copied().flatten();
-                    items.insert(key, before);
-                    rollback_records.push(LogRecord::Update {
-                        exec: *e,
-                        key,
-                        before: prev,
-                        after: before,
-                    });
-                }
-                rollback_records.push(LogRecord::Abort(*e));
-                rolled_back.push(*e);
-            }
+    }
+    for e in &order {
+        if prepared_set.contains(e) {
+            let undo = pending
+                .get(e)
+                .map(|u| {
+                    u.iter()
+                        .map(|&(key, before)| UndoRecord {
+                            key,
+                            before,
+                            after: items.get(&key).copied().flatten(),
+                        })
+                        .collect()
+                })
+                .unwrap_or_default();
+            prepared.push((*e, undo));
         }
-        for e in &order {
-            if prepared_set.contains(e) {
-                let undo = pending
-                    .get(e)
-                    .map(|u| {
-                        u.iter()
-                            .map(|&(key, before)| UndoRecord {
-                                key,
-                                before,
-                                after: items.get(&key).copied().flatten(),
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                prepared.push((*e, undo));
-            }
-        }
+    }
 
-        // A locally-committed subtransaction is unresolved unless a commit
-        // outcome arrived, or its compensation already completed.
-        let mut unresolved: Vec<(GlobalTxnId, Arc<CommitRecord>)> = local_commits
-            .into_iter()
-            .filter(|(g, _)| outcomes.get(g) != Some(&true) && !comp_done.contains(g))
-            .collect();
-        unresolved.sort_unstable_by_key(|&(g, _)| g);
+    // A locally-committed subtransaction is unresolved unless a commit
+    // outcome arrived, or its compensation already completed.
+    let mut unresolved: Vec<(GlobalTxnId, Arc<CommitRecord>)> = local_commits
+        .into_iter()
+        .filter(|(g, _)| outcomes.get(g) != Some(&true) && !comp_done.contains(g))
+        .collect();
+    unresolved.sort_unstable_by_key(|&(g, _)| g);
 
-        let mut out: Vec<(Key, Value)> = items
-            .into_iter()
-            .filter_map(|(k, v)| v.map(|v| (k, v)))
-            .collect();
-        out.sort_unstable_by_key(|&(k, _)| k);
-        let mut decided: Vec<(GlobalTxnId, bool)> = outcomes.into_iter().collect();
-        decided.sort_unstable_by_key(|&(g, _)| g);
+    let mut out: Vec<(Key, Value)> = items
+        .into_iter()
+        .filter_map(|(k, v)| v.map(|v| (k, v)))
+        .collect();
+    out.sort_unstable_by_key(|&(k, _)| k);
+    let mut decided: Vec<(GlobalTxnId, bool)> = outcomes.into_iter().collect();
+    decided.sort_unstable_by_key(|&(g, _)| g);
 
-        RecoveredState {
-            items: out,
-            rolled_back,
-            committed,
-            prepared,
-            unresolved_local_commits: unresolved,
-            rollback_records,
-            next_local_seq,
-            outcomes: decided,
-        }
+    RecoveredState {
+        items: out,
+        rolled_back,
+        committed,
+        prepared,
+        unresolved_local_commits: unresolved,
+        rollback_records,
+        next_local_seq,
+        outcomes: decided,
     }
 }
 
@@ -532,7 +590,7 @@ mod tests {
         assert_eq!(st.items, vec![(Key(1), Value(2))]);
         assert_eq!(st.rolled_back, vec![sub(1)]);
         // Truncation preserves recoverability.
-        h.wal.truncate_to_checkpoint();
+        h.wal.truncate_to_checkpoint().unwrap();
         let st2 = h.wal.recover();
         assert_eq!(st2.items, vec![(Key(1), Value(2))]);
     }
@@ -717,15 +775,15 @@ mod tests {
         h.commit(sub(0));
         // No checkpoint yet: truncation must be a no-op.
         let before = h.wal.len();
-        h.wal.truncate_to_checkpoint();
+        h.wal.truncate_to_checkpoint().unwrap();
         assert_eq!(h.wal.len(), before, "no checkpoint → nothing to drop");
         h.wal.checkpoint(&h.store);
         h.begin(sub(1));
         h.apply(sub(1), Op::Add(Key(1), 2));
-        h.wal.truncate_to_checkpoint();
+        h.wal.truncate_to_checkpoint().unwrap();
         let once = h.wal.records().to_vec();
         let st_once = h.wal.recover();
-        h.wal.truncate_to_checkpoint();
+        h.wal.truncate_to_checkpoint().unwrap();
         assert_eq!(h.wal.records(), &once[..], "second truncation is a no-op");
         assert_eq!(h.wal.recover(), st_once);
         assert!(matches!(h.wal.records()[0], LogRecord::Checkpoint { .. }));

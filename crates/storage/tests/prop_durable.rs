@@ -2,7 +2,7 @@
 //!
 //! A crash during an append can leave *any* byte-level prefix of the final
 //! frame on disk (the kernel writes sequentially; fsync ordering guarantees
-//! everything earlier is intact). The durable backend's whole recovery
+//! everything earlier is intact). A file-backed log's whole recovery
 //! promise rests on one property: **opening a log truncated at any byte
 //! offset inside its final record yields exactly the state of the log
 //! without that record** — the tear is detected, the torn frame discarded,
@@ -12,11 +12,13 @@
 //! rotation syncs its predecessor before the first append to the new file).
 //!
 //! The rotation property is here too: frames never straddle a segment
-//! boundary by construction, so every segment decodes standalone.
+//! boundary by construction, so every segment decodes standalone. So is the
+//! crash contract every log shares: a crash keeps the durable prefix and
+//! returns exactly the tail it lost (always empty for an in-memory log).
 
 use o2pc_common::{ExecId, GlobalTxnId, Key, Op, Value};
 use o2pc_storage::codec::{decode_all, encode_frame};
-use o2pc_storage::{segment_path, DurableWal, LogRecord, Store, Wal, WalOptions};
+use o2pc_storage::{recover, segment_path, LogRecord, Store, Wal, WalOptions};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -139,21 +141,21 @@ proptest! {
             }
             encode_frame(r, &mut bytes);
         }
-        let expected = Wal::from_records(records[..records.len() - 1].to_vec()).recover();
-        let full_expected = Wal::from_records(records.clone()).recover();
+        let expected = recover(&records[..records.len() - 1]);
+        let full_expected = recover(&records);
 
         let root = case_root("durable");
         let seg0 = segment_path(&root, 0);
 
         for cut in boundary..bytes.len() {
             std::fs::write(&seg0, &bytes[..cut]).unwrap();
-            let torn = DurableWal::open(&root).unwrap();
+            let torn = Wal::open(&root).unwrap();
             prop_assert_eq!(torn.records(), &records[..records.len() - 1], "cut {}", cut);
             prop_assert_eq!(torn.recover(), expected.clone(), "cut {}", cut);
         }
         // The untruncated file recovers everything (control).
         std::fs::write(&seg0, &bytes).unwrap();
-        let whole = DurableWal::open(&root).unwrap();
+        let whole = Wal::open(&root).unwrap();
         prop_assert_eq!(whole.recover(), full_expected);
         cleanup(&root);
     }
@@ -176,7 +178,7 @@ proptest! {
             }
             encode_frame(r, &mut bytes);
         }
-        let expected = Wal::from_records(records[..records.len() - 1].to_vec()).recover();
+        let expected = recover(&records[..records.len() - 1]);
 
         let root = case_root("corrupt");
         let seg0 = segment_path(&root, 0);
@@ -184,7 +186,7 @@ proptest! {
             let mut mutated = bytes.clone();
             mutated[target] ^= flip;
             std::fs::write(&seg0, &mutated).unwrap();
-            let torn = DurableWal::open(&root).unwrap();
+            let torn = Wal::open(&root).unwrap();
             prop_assert_eq!(torn.records(), &records[..records.len() - 1], "byte {}", target);
             prop_assert_eq!(torn.recover(), expected.clone(), "byte {}", target);
         }
@@ -204,13 +206,13 @@ proptest! {
         let root = case_root("multiseg");
         let opts = WalOptions { segment_bytes: 96, ..Default::default() };
         {
-            let mut wal = DurableWal::open_with_opts(&root, opts).unwrap();
+            let mut wal = Wal::open_with_opts(&root, opts).unwrap();
             for r in &records {
                 wal.append(r.clone());
             }
             wal.sync().unwrap();
         }
-        let written = DurableWal::open_with_opts(&root, opts).unwrap();
+        let written = Wal::open_with_opts(&root, opts).unwrap();
         prop_assert_eq!(written.records(), &records[..]);
         let bases = written.segment_bases();
         prop_assert!(bases.len() >= 2, "history must span segments: {:?}", bases);
@@ -227,7 +229,7 @@ proptest! {
 
         for cut in 0..last_bytes.len() {
             std::fs::write(&last_path, &last_bytes[..cut]).unwrap();
-            let torn = DurableWal::open_with_opts(&root, opts).unwrap();
+            let torn = Wal::open_with_opts(&root, opts).unwrap();
             let (tail, good) = decode_all(&last_bytes[..cut]);
             prop_assert_eq!(
                 torn.records(),
@@ -254,13 +256,13 @@ proptest! {
         let root = case_root("straddle");
         let opts = WalOptions { segment_bytes: 80, ..Default::default() };
         {
-            let mut wal = DurableWal::open_with_opts(&root, opts).unwrap();
+            let mut wal = Wal::open_with_opts(&root, opts).unwrap();
             for r in &records {
                 wal.append(r.clone());
             }
             wal.sync().unwrap();
         }
-        let wal = DurableWal::open_with_opts(&root, opts).unwrap();
+        let wal = Wal::open_with_opts(&root, opts).unwrap();
         let bases = wal.segment_bases();
         prop_assert!(bases.len() >= 2, "history must span segments: {:?}", bases);
         let mut rebuilt = Vec::new();
@@ -284,9 +286,9 @@ proptest! {
         cleanup(&root);
     }
 
-    /// Recovery equivalence across backends: the same history recovered
-    /// through the in-memory WAL and through a segmented on-disk WAL (tiny
-    /// segments, so rotation and preallocation are in play) yields the same
+    /// Recovery equivalence: the same history recovered by the pure
+    /// [`recover`] and through a segmented on-disk WAL (tiny segments, so
+    /// rotation and preallocation are in play) yields the same
     /// [`RecoveredState`].
     #[test]
     fn segmented_recovery_matches_in_memory(
@@ -294,20 +296,71 @@ proptest! {
         segment_bytes in 64u64..512,
     ) {
         let records = records_from(&steps);
-        let mem = Wal::from_records(records.clone());
 
         let root = case_root("equiv");
         let opts = WalOptions { segment_bytes, ..Default::default() };
         {
-            let mut wal = DurableWal::open_with_opts(&root, opts).unwrap();
+            let mut wal = Wal::open_with_opts(&root, opts).unwrap();
             for r in &records {
                 wal.append(r.clone());
             }
             wal.sync().unwrap();
         }
-        let reopened = DurableWal::open_with_opts(&root, opts).unwrap();
-        prop_assert_eq!(reopened.records(), mem.records());
-        prop_assert_eq!(reopened.recover(), mem.recover());
+        let reopened = Wal::open_with_opts(&root, opts).unwrap();
+        prop_assert_eq!(reopened.records(), &records[..]);
+        prop_assert_eq!(reopened.recover(), recover(&records));
+        cleanup(&root);
+    }
+
+    /// The crash contract of the one log type: for any interleaving of
+    /// appends, inline syncs, background flushes and crashes, the survivors
+    /// plus the lost tail the crash returns are exactly the pre-crash
+    /// records, a file-backed log's survivors are exactly what was flushed,
+    /// and an in-memory log loses nothing.
+    #[test]
+    fn crash_returns_exactly_the_lost_tail(
+        steps in prop::collection::vec(step(), 1..24),
+        actions in prop::collection::vec(0u8..8, 1..40),
+        segment_bytes in 64u64..512,
+    ) {
+        let records = records_from(&steps);
+        let root = case_root("crash");
+        let opts = WalOptions { segment_bytes, ..Default::default() };
+        let mut disk = Wal::open_with_opts(&root, opts).unwrap();
+        let mut mem = Wal::new();
+        let mut flushed = 0;
+        for (i, r) in records.iter().enumerate() {
+            disk.append(r.clone());
+            mem.append(r.clone());
+            let crash = match actions[i % actions.len()] {
+                5 => {
+                    if let Some(batch) = disk.seal_batch() {
+                        batch.execute().unwrap();
+                    }
+                    flushed = disk.len();
+                    false
+                }
+                6 => {
+                    disk.sync().unwrap();
+                    flushed = disk.len();
+                    false
+                }
+                7 => true,
+                _ => i + 1 == records.len(),
+            };
+            if !crash {
+                continue;
+            }
+            let before = disk.records().to_vec();
+            let lost = disk.crash().unwrap();
+            prop_assert_eq!([disk.records(), &lost[..]].concat(), before);
+            prop_assert_eq!(disk.len(), flushed, "a crash keeps exactly the flushed prefix");
+
+            let before = mem.records().to_vec();
+            let lost = mem.crash().unwrap();
+            prop_assert!(lost.is_empty(), "an in-memory log lost {:?}", lost);
+            prop_assert_eq!(mem.records(), &before[..]);
+        }
         cleanup(&root);
     }
 }

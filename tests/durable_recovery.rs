@@ -6,7 +6,7 @@ use o2pc_common::{Duration, SimTime, SiteId};
 use o2pc_core::{Engine, SystemConfig};
 use o2pc_protocol::ProtocolKind;
 use o2pc_storage::codec::FRAME_HEADER;
-use o2pc_storage::{segment_path, DurableWal, Wal};
+use o2pc_storage::{recover, segment_path, Wal};
 use o2pc_workload::BankingWorkload;
 use std::path::{Path, PathBuf};
 
@@ -40,8 +40,8 @@ fn run_durable(dir: &Path, seed: u64, sites: u32) -> Engine {
 }
 
 /// Tentpole acceptance (a): reopening the on-disk log recovers byte-for-byte
-/// the same state as replaying the in-memory record mirror — the file-backed
-/// backend adds durability, never semantics.
+/// the same state as replaying the live log's records — the file part adds
+/// durability, never semantics.
 #[test]
 fn durable_recovery_equals_in_memory_recovery() {
     let dir = scratch_dir("durable-eq");
@@ -51,15 +51,15 @@ fn durable_recovery_equals_in_memory_recovery() {
         let site = SiteId(i);
         let mem_records = engine.wal_records(site).unwrap().to_vec();
         assert!(!mem_records.is_empty(), "site {i} logged nothing");
-        let reopened = DurableWal::open(dir.join(format!("site-{i}.wal"))).unwrap();
+        let reopened = Wal::open(dir.join(format!("site-{i}.wal"))).unwrap();
         assert_eq!(
             reopened.records(),
             &mem_records[..],
-            "site {i}: disk records differ from the in-memory mirror"
+            "site {i}: disk records differ from the live log"
         );
         assert_eq!(
             reopened.recover(),
-            Wal::from_records(mem_records).recover(),
+            recover(&mem_records),
             "site {i}: recovery diverges between disk and memory"
         );
     }
@@ -96,9 +96,9 @@ fn torn_tail_discards_only_the_torn_record() {
     let data_end = pos;
     assert!(last_start > 0, "need at least two records");
 
-    let full = DurableWal::open(&path).unwrap();
+    let full = Wal::open(&path).unwrap();
     let expected_len = full.len() - 1;
-    let prefix_recovery = Wal::from_records(full.records()[..expected_len].to_vec()).recover();
+    let prefix_recovery = recover(&full.records()[..expected_len]);
     drop(full);
 
     // Tear the tail at a few representative offsets: header-only, mid-frame,
@@ -106,7 +106,7 @@ fn torn_tail_discards_only_the_torn_record() {
     for cut in [last_start + 1, last_start + FRAME_HEADER, data_end - 1] {
         let torn_path = dir.join(format!("torn-{cut}.wal"));
         std::fs::write(segment_path(&torn_path, 0), &bytes[..cut]).unwrap();
-        let torn = DurableWal::open(&torn_path).unwrap();
+        let torn = Wal::open(&torn_path).unwrap();
         assert_eq!(torn.len(), expected_len, "cut at byte {cut}");
         assert_eq!(
             torn.recover(),
