@@ -125,22 +125,26 @@ pub struct SystemConfig {
     /// fate-bearing termination answers) are held until the records they
     /// depend on are fsynced — the group-commit protocol.
     pub durable_wal_dir: Option<std::path::PathBuf>,
-    /// Group-commit window: how long a site batches appended records before
-    /// the next flush (inline fsync on the simulator, a sealed batch to the
-    /// background flusher on the threaded substrate). Longer windows
-    /// amortise fsync across more transactions at the cost of commit
-    /// latency. Ignored unless [`SystemConfig::durable_wal_dir`] is set.
+    /// Group-commit window of the deterministic sealed-gate mode: how long a
+    /// site batches appended records before the next flush point seals them
+    /// for the background flusher. Longer windows amortise fsync across
+    /// more transactions at the cost of commit latency. Ignored unless
+    /// [`SystemConfig::durable_wal_dir`] is set, and ignored with
+    /// [`SystemConfig::wal_background_flush`], which batches by fsync
+    /// completion instead.
     pub wal_flush_interval: Duration,
-    /// Gate durability promises on *physical* fsync completion instead of
-    /// the deterministic sealed watermark. With the default (`false`), a
-    /// flush point seals the window's bytes into the background pipeline and
-    /// releases parked messages immediately — release timing is a pure
-    /// function of virtual time (deterministic: chaos replay and shrinking
-    /// depend on it), and physical durability is enforced at barriers
-    /// (simulated crash, checkpoint compaction, end of run). With `true`,
-    /// parked messages wait for the fsync watermark itself — nondeterministic
-    /// timing, but honest against a real `SIGKILL` that can land between a
-    /// released promise and its fsync (`kill_recover` runs this mode).
+    /// Release durability promises on *physical* fsync completion instead
+    /// of the deterministic sealed watermark. With the default (`false`), a
+    /// timed flush point seals the window's bytes into the background
+    /// pipeline and releases parked messages immediately — release timing
+    /// is a pure function of virtual time (deterministic: chaos replay and
+    /// shrinking depend on it), and physical durability is enforced at
+    /// barriers (simulated crash, checkpoint compaction, end of run). With
+    /// `true`, a gated message seals its site's pending bytes at once and
+    /// is released when the flusher reports the fsync covering it —
+    /// nondeterministic timing, no flush timer, and honest against a real
+    /// `SIGKILL` that can land between a seal and its fsync (`kill_recover`
+    /// runs this mode).
     pub wal_background_flush: bool,
     /// Segment capacity of the durable WAL: the log rotates to a new
     /// preallocated segment file when the next record would not fit.
@@ -148,10 +152,12 @@ pub struct SystemConfig {
     /// exercise rotation and compaction aggressively (CI smoke); the default
     /// keeps rotation off the hot path.
     pub wal_segment_bytes: u64,
-    /// Adaptive group-commit trigger: a site whose pending (unsealed) WAL
-    /// bytes reach this threshold flushes immediately instead of waiting out
+    /// Adaptive group-commit trigger of the deterministic sealed-gate mode:
+    /// a site whose pending (unsealed) WAL bytes reach this threshold
+    /// flushes immediately instead of waiting out
     /// [`SystemConfig::wal_flush_interval`] — whichever comes first. Byte
-    /// counts are deterministic, so the early trigger is too.
+    /// counts are deterministic, so the early trigger is too. Ignored with
+    /// [`SystemConfig::wal_background_flush`].
     pub wal_flush_bytes: u64,
 }
 

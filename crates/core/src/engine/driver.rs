@@ -21,7 +21,9 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             self.checkpointed = true;
         }
         let deadline = SimTime::ZERO + horizon;
-        let durable = self.cfg.durable_wal_dir.is_some();
+        // Deterministic durable mode polls: flush points are virtual-time
+        // timers. Physical gating seals on park and releases on wake.
+        let poll_flush = self.cfg.durable_wal_dir.is_some() && !self.cfg.wal_background_flush;
         let mut events = 0u64;
         let mut last_now = SimTime::ZERO;
         while events < self.cfg.max_events {
@@ -31,8 +33,8 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             events += 1;
             last_now = now;
             self.step(now, step);
-            if durable {
-                // Any step may have appended to a WAL; a dirty WAL must
+            if poll_flush {
+                // Any step may have appended to a WAL; unsealed bytes must
                 // always have a flush timer pending, else parked promises
                 // (and the records themselves) would wait forever.
                 for i in 0..self.cfg.num_sites {
@@ -51,6 +53,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         match step {
             Step::Timer(ev) => self.handle_timer(now, ev),
             Step::Deliver { to, msg } => self.on_deliver(now, to, msg),
+            Step::Wake => self.on_wal_wake(now),
         }
     }
 

@@ -115,9 +115,10 @@ pub enum TimerEvent {
         site: SiteId,
     },
     /// Group-commit flush point for a site's durable WAL: everything
-    /// appended since the last flush becomes durable and the messages parked
-    /// on its tickets are released. Armed only in durable mode, and only
-    /// while the site's WAL is dirty.
+    /// appended since the last flush is sealed and the messages parked on
+    /// its tickets are released. Armed only in deterministic durable mode,
+    /// and only while the site has unsealed bytes; physical gating
+    /// releases on fsync completion instead and never arms it.
     WalFlush {
         /// Site whose WAL flushes.
         site: SiteId,
@@ -192,9 +193,10 @@ pub struct Engine<R: Runtime<TimerEvent, Msg> = DefaultSimRuntime> {
     /// durable past the recorded byte ticket, as `(ticket, to, msg)` in
     /// append order per sender.
     pub(crate) wal_parked: FastHashMap<SiteId, Vec<(u64, SiteId, Msg)>>,
-    /// Sites with a live `WalFlush` timer (at most one per site).
+    /// Sites with a live `WalFlush` timer (at most one per site;
+    /// deterministic mode only).
     pub(crate) flush_armed: BTreeSet<SiteId>,
-    /// Background flusher (durable mode with `wal_background_flush` only).
+    /// Background flusher (durable mode only).
     pub(crate) flusher: Option<FlushScheduler>,
     /// Configuration footguns detected at assembly (see
     /// [`SystemConfig::liveness_warnings`]).
@@ -243,10 +245,15 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         // Durable mode always runs the sharded flush pipeline: the engine
         // seals batches at flush points and the pool coalesces them into few
         // fsyncs. (Fault-armed WALs opt out per flush and sync inline.)
-        let flusher = cfg
-            .durable_wal_dir
-            .is_some()
-            .then(|| FlushScheduler::new((cfg.num_sites as usize).clamp(1, 4)));
+        // Physical gating hands the pool the runtime's waker, so each
+        // finished burst wakes the engine to release what it covers.
+        let flusher = cfg.durable_wal_dir.is_some().then(|| {
+            let waker = cfg.wal_background_flush.then(|| {
+                rt.waker()
+                    .expect("physical fsync gating needs a runtime with a waker")
+            });
+            FlushScheduler::new((cfg.num_sites as usize).clamp(1, 4), waker)
+        });
         let warnings = cfg.liveness_warnings();
         #[cfg(debug_assertions)]
         for w in &warnings {
@@ -481,10 +488,14 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// has logged — a yes-vote (the local commit / prepare record), a
     /// decision ack (the `Outcome` record), a fate-bearing termination
     /// answer. In durable mode such a message is parked until the sender's
-    /// WAL is durable past its current append ticket; the next group-commit
-    /// flush releases it. On an in-memory WAL (and for messages that
-    /// promise nothing — a no-vote, a SPAWN) this is just [`Engine::send`]:
-    /// the WAL reports clean and nothing parks.
+    /// WAL is covered past its current append ticket. Deterministic mode
+    /// releases it at the next group-commit flush point. Physical mode
+    /// seals the pending bytes into the flush pipeline at once and
+    /// releases it on the wake that follows their fsync (a shard's drain
+    /// folds every batch queued behind an in-flight fsync into the next
+    /// one, so no interval is needed to batch). On an in-memory WAL (and
+    /// for messages that promise nothing — a no-vote, a SPAWN) this is
+    /// just [`Engine::send`]: the WAL reports clean and nothing parks.
     ///
     /// The write-before-promise ordering this enforces is the only explicit
     /// barrier the protocol needs. Everything else is covered by prefix
@@ -507,7 +518,11 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             .or_default()
             .push((ticket, to, msg));
         self.report.counters.inc("wal.parked_msgs");
-        self.arm_wal_flush(now, from);
+        if self.cfg.wal_background_flush {
+            self.on_wal_flush(now, from);
+        } else {
+            self.arm_wal_flush(now, from);
+        }
     }
 
     /// The watermark parked messages release against. Deterministic mode:
@@ -526,21 +541,20 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         }
     }
 
-    /// Arm the group-commit flush timer for a site with unflushed WAL bytes
-    /// (at most one live timer per site), or flush immediately if the
-    /// pending bytes already exceed the adaptive group-commit threshold —
-    /// interval or bytes, whichever trips first.
+    /// Deterministic mode: arm the group-commit flush timer for a site with
+    /// unsealed WAL bytes (at most one live timer per site), or flush
+    /// immediately if the pending bytes already exceed the adaptive
+    /// group-commit threshold — interval or bytes, whichever trips first.
     pub(crate) fn arm_wal_flush(&mut self, now: SimTime, site: SiteId) {
-        if !self.site_up(site) {
+        debug_assert!(
+            !self.cfg.wal_background_flush,
+            "physical gating releases on fsync completion, never on a timer"
+        );
+        let Some(s) = self.sites[site.index()].as_ref() else {
             return;
-        }
-        let s = self.sites[site.index()].as_ref().unwrap();
+        };
         let pending = s.wal().pending_bytes();
-        let owed = pending > 0
-            || (self.cfg.wal_background_flush
-                && (s.wal().is_dirty()
-                    || self.wal_parked.get(&site).is_some_and(|q| !q.is_empty())));
-        if !owed {
+        if pending == 0 {
             return;
         }
         if pending >= self.cfg.wal_flush_bytes {
@@ -562,7 +576,8 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// the release gate now covers. One batch — and, after coalescing, one
     /// fsync — covers every transaction that logged in the window: that
     /// batching *is* group commit. `wal.flushes` counts only flush points
-    /// that sealed or synced bytes, not the empty ticks of a re-arm chain.
+    /// that sealed or synced bytes, not a timer that fires after a barrier
+    /// already synced them.
     pub(crate) fn on_wal_flush(&mut self, now: SimTime, site: SiteId) {
         self.flush_armed.remove(&site);
         let Some(s) = self.sites[site.index()].as_mut() else {
@@ -588,19 +603,24 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             self.report.counters.inc("wal.flushes");
         }
         self.release_parked(now, site);
-        // Physical-gating mode: the watermark advances asynchronously, so
-        // keep a short timer chain alive until every parked message drains.
-        if self.cfg.wal_background_flush
-            && (self.sites[site.index()]
-                .as_ref()
-                .is_some_and(|s| s.wal().is_dirty())
-                || self.wal_parked.get(&site).is_some_and(|q| !q.is_empty()))
-            && self.flush_armed.insert(site)
-        {
-            self.rt.schedule(
-                now + self.cfg.wal_flush_interval,
-                TimerEvent::WalFlush { site },
-            );
+    }
+
+    /// Physical mode: a flush burst finished. Release every parked message
+    /// the new durable watermarks cover. A site whose log device failed
+    /// (the flusher poisoned its watermark, which will never advance again)
+    /// fail-stops exactly like an injected write fault: its parked promises
+    /// die with it instead of waiting out the run.
+    pub(crate) fn on_wal_wake(&mut self, now: SimTime) {
+        for i in 0..self.cfg.num_sites {
+            let site = SiteId(i);
+            match self.sites[site.index()].as_ref() {
+                Some(s) if s.wal().is_dead() => {
+                    self.report.counters.inc("wal.fault_crashes");
+                    self.on_crash(now, site);
+                }
+                Some(_) => self.release_parked(now, site),
+                None => {}
+            }
         }
     }
 
@@ -678,15 +698,14 @@ mod tests {
     use o2pc_protocol::ProtocolKind;
     use o2pc_storage::LogRecord;
 
-    /// `wal.flushes` counts flush points that sealed or synced bytes: the
-    /// empty ticks of the physical-gating re-arm chain are not flushes.
+    /// `wal.flushes` counts flush points that sealed or synced bytes: a
+    /// flush timer that finds nothing pending is not a flush.
     #[test]
     fn flush_point_with_nothing_pending_is_not_counted() {
         let dir = std::env::temp_dir().join(format!("o2pc-engine-flush-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut cfg = SystemConfig::new(1, ProtocolKind::O2pcP2);
         cfg.durable_wal_dir = Some(dir.clone());
-        cfg.wal_background_flush = true;
         let mut engine = Engine::new(cfg);
         let site = SiteId(0);
         engine
@@ -701,6 +720,38 @@ mod tests {
             1,
             "a flush point with nothing pending is an empty tick"
         );
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A log device that fails under the background flusher fail-stops its
+    /// site on the next wake: the site goes down, its parked promises are
+    /// dropped, and the crash is counted as a fault crash.
+    #[test]
+    fn poisoned_log_device_fail_stops_its_site_on_wake() {
+        let dir = std::env::temp_dir().join(format!("o2pc-engine-poison-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = SystemConfig::new(2, ProtocolKind::O2pcP2);
+        cfg.durable_wal_dir = Some(dir.clone());
+        cfg.wal_background_flush = true;
+        let mut engine = Engine::new(cfg);
+        let (site, peer, txn) = (SiteId(0), SiteId(1), GlobalTxnId(1));
+        engine
+            .site_mut(site)
+            .wal_mut()
+            .append(LogRecord::Begin(ExecId::Sub(txn)));
+        engine.send_gated(
+            SimTime::ZERO,
+            site,
+            peer,
+            Msg::DecisionAck { txn, from: site },
+        );
+        assert_eq!(engine.wal_parked[&site].len(), 1, "the ack parks");
+        engine.site_mut(site).wal().progress().unwrap().poison();
+        engine.on_wal_wake(SimTime::ZERO);
+        assert_eq!(engine.down_sites(), vec![site]);
+        assert!(engine.wal_parked.get(&site).is_none_or(|q| q.is_empty()));
+        assert_eq!(engine.report.counters.get("wal.fault_crashes"), 1);
         drop(engine);
         let _ = std::fs::remove_dir_all(&dir);
     }

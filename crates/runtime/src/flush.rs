@@ -12,12 +12,18 @@
 //! submission order, which is the property prefix durability rests on;
 //! different sites' logs flush in parallel across shards.
 //!
-//! On the deterministic simulator the engine still submits here: sealing
-//! happens at virtual flush instants (deterministic), while the physical
-//! write + fsync run behind the simulation and are synchronised only at
-//! barriers (crash, checkpoint compaction, end of run) — fsync latency is
-//! never observed by simulated time.
+//! With a [`Waker`] (physical-fsync gating) every submitted batch holds one
+//! unit until its burst has executed, and the release wakes the engine to
+//! hand out the promises the new watermark covers: group commit is driven
+//! by fsync completion, not by a timer.
+//!
+//! Without one (the deterministic sealed-gate mode) sealing happens at
+//! virtual flush instants, while the physical write + fsync run behind the
+//! simulation and are synchronised only at barriers (crash, checkpoint
+//! compaction, end of run) — fsync latency is never observed by simulated
+//! time.
 
+use crate::wake::Waker;
 use o2pc_storage::FlushBatch;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
@@ -33,6 +39,7 @@ struct Shard {
 #[derive(Debug)]
 pub struct FlushScheduler {
     shards: Vec<Shard>,
+    waker: Option<Waker>,
 }
 
 impl std::fmt::Debug for Shard {
@@ -41,30 +48,36 @@ impl std::fmt::Debug for Shard {
     }
 }
 
-fn drain_loop(rx: Receiver<FlushBatch>) {
+fn drain_loop(rx: Receiver<FlushBatch>, waker: Option<Waker>) {
     while let Ok(first) = rx.recv() {
         let mut burst = vec![first];
         while let Ok(b) = rx.try_recv() {
             burst.push(b);
         }
+        let units = burst.len();
         // An I/O error here means the log device failed; execute_all has
         // already poisoned the affected watermarks, so anything waiting on
-        // them fails loudly instead of hanging — the site is as good as
-        // crashed, which is the honest outcome.
+        // them fails loudly instead of hanging, and the engine fail-stops
+        // the site when this release wakes it.
         let _ = FlushBatch::execute_all(burst);
+        if let Some(w) = &waker {
+            w.release(units);
+        }
     }
 }
 
 impl FlushScheduler {
-    /// Spawn a pool of `shards` flusher threads (at least one).
-    pub fn new(shards: usize) -> Self {
+    /// Spawn a pool of `shards` flusher threads (at least one). With a
+    /// `waker`, each submitted batch holds one unit of it until executed.
+    pub fn new(shards: usize, waker: Option<Waker>) -> Self {
         let shards = shards.max(1);
         let shards = (0..shards)
             .map(|i| {
                 let (tx, rx) = channel::<FlushBatch>();
+                let w = waker.clone();
                 let worker = std::thread::Builder::new()
                     .name(format!("wal-flush-{i}"))
-                    .spawn(move || drain_loop(rx))
+                    .spawn(move || drain_loop(rx, w))
                     .expect("spawn wal-flush thread");
                 Shard {
                     tx: Some(tx),
@@ -72,7 +85,7 @@ impl FlushScheduler {
                 }
             })
             .collect();
-        FlushScheduler { shards }
+        FlushScheduler { shards, waker }
     }
 
     /// Queue a sealed batch for write + fsync. `key` pins the submitter to a
@@ -80,15 +93,21 @@ impl FlushScheduler {
     /// (use the site id, so one WAL's batches never reorder).
     pub fn submit(&self, key: u32, batch: FlushBatch) {
         let shard = &self.shards[key as usize % self.shards.len()];
-        if let Some(tx) = &shard.tx {
-            let _ = tx.send(batch);
+        if let Some(w) = &self.waker {
+            w.hold();
+        }
+        let sent = shard.tx.as_ref().is_some_and(|tx| tx.send(batch).is_ok());
+        if !sent {
+            if let Some(w) = &self.waker {
+                w.release(1);
+            }
         }
     }
 }
 
 impl Default for FlushScheduler {
     fn default() -> Self {
-        Self::new(1)
+        Self::new(1, None)
     }
 }
 
@@ -122,7 +141,7 @@ mod tests {
     fn background_flush_advances_watermark_in_order() {
         let dir = tmpdir("order");
         let mut wal = Wal::open(dir.join("s.wal")).unwrap();
-        let sched = FlushScheduler::new(2);
+        let sched = FlushScheduler::new(2, None);
         let mut last = 0;
         for i in 0..10 {
             wal.append(LogRecord::Begin(ExecId::Sub(GlobalTxnId(i))));
@@ -139,7 +158,7 @@ mod tests {
     #[test]
     fn shards_flush_independent_wals_and_coalesce_fsyncs() {
         let dir = tmpdir("shards");
-        let sched = FlushScheduler::new(4);
+        let sched = FlushScheduler::new(4, None);
         let mut wals: Vec<Wal> = (0..4)
             .map(|i| Wal::open(dir.join(format!("s{i}.wal"))).unwrap())
             .collect();

@@ -16,6 +16,8 @@
 //!   (per-destination delivery workers over batch channels).
 //! * [`Runtime`] — the engine-facing fusion of the two: schedule timers,
 //!   send messages, and pull the next [`Step`] in time order.
+//! * [`Waker`] — the way back in for work that runs off the engine thread
+//!   (the WAL flush pipeline): a release yields [`Step::Wake`].
 //!
 //! Two implementations ship here:
 //!
@@ -37,6 +39,7 @@ pub mod clock;
 pub mod flush;
 pub mod runtime;
 pub mod transport;
+pub mod wake;
 
 pub use clock::{Clock, WallClock};
 pub use flush::FlushScheduler;
@@ -44,3 +47,4 @@ pub use runtime::{Runtime, SimRuntime, Step, ThreadedRuntime, ThreadedRuntimeCon
 pub use transport::{
     Batch, Envelope, Inbox, LinkPolicy, SendOutcome, ThreadedTransport, Transport,
 };
+pub use wake::Waker;

@@ -2,6 +2,7 @@
 
 use crate::clock::{Clock, WallClock};
 use crate::transport::{Batch, Envelope, Judgement, SendOutcome, ThreadedTransport, Transport};
+use crate::wake::Waker;
 use o2pc_common::{SimTime, SiteId};
 use o2pc_sim::{EventQueue, Network};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -21,6 +22,9 @@ pub enum Step<T, M> {
         /// The message.
         msg: M,
     },
+    /// Work the engine waits on finished off its thread: a holder of the
+    /// runtime's [`Waker`] released it.
+    Wake,
 }
 
 /// What the engine needs from a substrate: a clock, timers, a message
@@ -50,6 +54,14 @@ pub trait Runtime<T, M>: Clock {
 
     /// Messages lost in transit so far.
     fn messages_dropped(&self) -> u64;
+
+    /// A handle through which off-thread work wakes the engine (see
+    /// [`Waker`]); `None` when the substrate has no wake path. Both shipped
+    /// runtimes create theirs on first call, so a run that never asks pays
+    /// nothing for it.
+    fn waker(&mut self) -> Option<Waker> {
+        None
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -74,6 +86,8 @@ pub struct SimRuntime<T, M> {
     in_flight_msgs: u64,
     /// Same-site sends (bypass the network, so its counters miss them).
     local_sends: u64,
+    /// Created by the first [`Runtime::waker`] call.
+    waker: Option<Waker>,
 }
 
 impl<T, M> SimRuntime<T, M> {
@@ -85,6 +99,7 @@ impl<T, M> SimRuntime<T, M> {
             delivered: 0,
             in_flight_msgs: 0,
             local_sends: 0,
+            waker: None,
         }
     }
 
@@ -161,6 +176,20 @@ impl<T, M: Clone> Runtime<T, M> for SimRuntime<T, M> {
     }
 
     fn next(&mut self, deadline: SimTime) -> Option<(SimTime, Step<T, M>)> {
+        if let Some(w) = &self.waker {
+            // Outstanding work finishes at the current instant: the clock
+            // does not move past it, so off-thread latency never shows in
+            // virtual time.
+            let now = self.queue.now();
+            if w.take() {
+                return Some((now, Step::Wake));
+            }
+            if w.busy() && self.queue.peek_time().is_none_or(|t| t > now) {
+                w.wait_idle();
+                w.take();
+                return Some((now, Step::Wake));
+            }
+        }
         let t = self.queue.peek_time()?;
         if t > deadline {
             return None; // left in the queue: a later run() call may resume
@@ -175,6 +204,10 @@ impl<T, M: Clone> Runtime<T, M> for SimRuntime<T, M> {
 
     fn messages_dropped(&self) -> u64 {
         self.network.dropped_count()
+    }
+
+    fn waker(&mut self) -> Option<Waker> {
+        Some(self.waker.get_or_insert_with(|| Waker::new(None)).clone())
     }
 }
 
@@ -243,8 +276,10 @@ impl<T> Ord for TimerEntry<T> {
 /// therefore pays one channel operation per peer site, not one per message.
 ///
 /// Quiescence: `next` returns `None` once the deadline passes, or when no
-/// timer is pending, the transport reports nothing in flight, and no message
-/// arrives within `idle_grace`.
+/// timer is pending, the transport reports nothing in flight, no [`Waker`]
+/// unit is held, and no message arrives within `idle_grace`. A waker
+/// release interrupts a blocked `next` by posting an empty batch to the
+/// inbox.
 pub struct ThreadedRuntime<T, M> {
     clock: WallClock,
     transport: ThreadedTransport<M>,
@@ -262,6 +297,8 @@ pub struct ThreadedRuntime<T, M> {
     timers: BinaryHeap<TimerEntry<T>>,
     seq: u64,
     cfg: ThreadedRuntimeConfig,
+    /// Created by the first [`Runtime::waker`] call.
+    waker: Option<Waker>,
 }
 
 impl<T, M: Clone + Send + 'static> Default for ThreadedRuntime<T, M> {
@@ -288,6 +325,7 @@ impl<T, M: Clone + Send + 'static> ThreadedRuntime<T, M> {
             timers: BinaryHeap::new(),
             seq: 0,
             cfg,
+            waker: None,
         }
     }
 
@@ -386,6 +424,9 @@ impl<T, M: Clone + Send + 'static> Runtime<T, M> for ThreadedRuntime<T, M> {
             if now > deadline {
                 return None;
             }
+            if self.waker.as_ref().is_some_and(Waker::take) {
+                return Some((now, Step::Wake));
+            }
             // Fire a due timer before waiting on the inbox.
             if self.next_timer_due().is_some_and(|due| due <= now) {
                 let e = self.timers.pop().expect("peeked");
@@ -429,8 +470,10 @@ impl<T, M: Clone + Send + 'static> Runtime<T, M> for ThreadedRuntime<T, M> {
                         // entry, so if the transport has nothing in flight
                         // and nothing is staged, no step can ever arrive
                         // again.
-                        if self.transport.in_flight() > 0 {
-                            continue; // a delivery worker still owes us
+                        if self.transport.in_flight() > 0
+                            || self.waker.as_ref().is_some_and(Waker::busy)
+                        {
+                            continue; // a delivery worker or a waker holder still owes us
                         }
                         match self.pop_staged() {
                             Some(env) => {
@@ -453,6 +496,16 @@ impl<T, M: Clone + Send + 'static> Runtime<T, M> for ThreadedRuntime<T, M> {
 
     fn messages_dropped(&self) -> u64 {
         self.transport.dropped()
+    }
+
+    fn waker(&mut self) -> Option<Waker> {
+        if self.waker.is_none() {
+            let inbox = self.inbox_tx.clone();
+            self.waker = Some(Waker::new(Some(Box::new(move || {
+                let _ = inbox.send(Vec::new());
+            }))));
+        }
+        self.waker.clone()
     }
 }
 
@@ -511,6 +564,25 @@ mod tests {
             0,
             "self-send never hit the network"
         );
+    }
+
+    /// Held work pins the simulated clock: its release is a wake at the
+    /// current instant, ahead of the next timer.
+    #[test]
+    fn sim_waits_for_held_work_before_advancing() {
+        let mut rt = sim();
+        rt.schedule(SimTime(5_000), "later");
+        let w = rt.waker().unwrap();
+        w.hold();
+        let releaser = std::thread::spawn(move || w.release(1));
+        let (t, s) = rt.next(SimTime(10_000)).unwrap();
+        assert_eq!(t, SimTime::ZERO);
+        assert!(matches!(s, Step::Wake));
+        releaser.join().unwrap();
+        assert!(matches!(
+            rt.next(SimTime(10_000)),
+            Some((_, Step::Timer("later")))
+        ));
     }
 
     fn threaded(grace_ms: u64) -> ThreadedRuntime<&'static str, u32> {
@@ -614,5 +686,22 @@ mod tests {
                 }
             ))
         ));
+    }
+
+    /// External work held on the waker outlasts `idle_grace` without the
+    /// runtime declaring quiescence; its release yields a wake.
+    #[test]
+    fn threaded_does_not_quiesce_while_work_is_held() {
+        let mut rt = threaded(5);
+        let w = rt.waker().unwrap();
+        w.hold();
+        let releaser = std::thread::spawn(move || {
+            std::thread::sleep(StdDuration::from_millis(30));
+            w.release(1);
+        });
+        let far = SimTime(60_000_000);
+        assert!(matches!(rt.next(far), Some((_, Step::Wake))));
+        releaser.join().unwrap();
+        assert!(rt.next(far).is_none(), "quiescent once the work is done");
     }
 }

@@ -161,10 +161,14 @@ impl FlushProgress {
         self.durable.load(Ordering::Acquire)
     }
 
-    /// Advance the watermark (monotone) and wake waiters.
+    /// Advance the watermark (monotone) and wake waiters. A poisoned cell
+    /// stays where it is: after a failed fsync the kernel may have dropped
+    /// dirty pages, so a later successful fsync proves nothing about them.
     pub fn advance(&self, to: u64) {
         let _g = self.lock.lock().unwrap();
-        self.durable.fetch_max(to, Ordering::AcqRel);
+        if !self.is_poisoned() {
+            self.durable.fetch_max(to, Ordering::AcqRel);
+        }
         self.cond.notify_all();
     }
 
@@ -225,7 +229,7 @@ pub struct WriteFault {
 /// segment file at a fixed offset (pwrite — no shared cursor to race on).
 #[derive(Debug)]
 struct SegWrite {
-    file: File,
+    file: Arc<File>,
     /// (wal uid, segment base): identifies the file for fsync coalescing.
     sync_key: (u64, u64),
     /// File offset of the write.
@@ -317,7 +321,8 @@ struct Segment {
     /// configured segment size).
     capacity: u64,
     path: PathBuf,
-    file: File,
+    /// Shared with the flush batches that target this segment.
+    file: Arc<File>,
 }
 
 /// A pending (unsealed) byte range: where in the buffer, and where it lands.
@@ -508,7 +513,7 @@ impl Wal {
                 base: *base,
                 capacity,
                 path: path.clone(),
-                file,
+                file: Arc::new(file),
             });
         }
         if segments.is_empty() {
@@ -607,9 +612,12 @@ impl Wal {
             .is_some_and(|f| f.appended > f.progress.durable())
     }
 
-    /// True once an injected fault has fired (the log device is gone).
+    /// True once the log device failed: an injected fault fired, or a
+    /// background flush hit an I/O error and poisoned the watermark.
     pub fn is_dead(&self) -> bool {
-        self.file.as_deref().is_some_and(|f| f.dead)
+        self.file
+            .as_deref()
+            .is_some_and(|f| f.dead || f.progress.is_poisoned())
     }
 
     /// Write buffered frames and fsync: one group commit, inline. Advances
@@ -707,7 +715,7 @@ impl LogFile {
             base,
             capacity,
             path,
-            file,
+            file: Arc::new(file),
         })
     }
 
@@ -874,7 +882,7 @@ impl LogFile {
         for sp in &self.spans {
             let seg = &self.segments[sp.seg];
             writes.push(SegWrite {
-                file: seg.file.try_clone().ok()?,
+                file: Arc::clone(&seg.file),
                 sync_key: (self.uid, seg.base),
                 off: sp.off,
                 start: sp.start,
@@ -949,14 +957,14 @@ impl LogFile {
     /// every segment back to the durable watermark (adversarial: maximum
     /// permitted loss), delete segments past it, and close the files,
     /// returning what [`Wal::crash`] reopens with. A dead WAL (injected
-    /// fault) skips the truncation — whatever the fault left on disk,
-    /// including a torn frame, is what recovery must cope with.
+    /// fault, or a flusher I/O error that poisoned the watermark) skips the
+    /// truncation — whatever the failure left on disk, including a torn
+    /// frame, is what recovery must cope with.
     pub(crate) fn cut_to_watermark(self) -> io::Result<(PathBuf, WalOptions)> {
-        if !self.dead {
-            // Let in-flight background batches land, then cut at the
-            // watermark; without this a late flusher write could resurrect
-            // bytes the truncation already declared lost.
-            self.progress.wait_for(self.sealed)?;
+        // Let in-flight background batches land, then cut at the watermark;
+        // without the wait a late flusher write could resurrect bytes the
+        // truncation already declared lost.
+        if !self.dead && self.progress.wait_for(self.sealed).is_ok() {
             let wm = self.progress.durable();
             for seg in &self.segments {
                 if seg.base >= wm {
@@ -1345,5 +1353,26 @@ mod tests {
         p.poison();
         assert!(p.wait_for(10).is_err());
         assert!(p.wait_for(0).is_ok(), "already-reached tickets still pass");
+        p.advance(10);
+        assert_eq!(p.durable(), 0, "a poisoned watermark never advances");
+    }
+
+    /// A log whose flusher failed crashes like a dead one: no wait on a
+    /// watermark that can never arrive, and recovery takes the disk as the
+    /// failure left it (here: the sealed batch never ran).
+    #[test]
+    fn crash_of_poisoned_wal_skips_the_cut() {
+        let path = tmp("poisoned");
+        let mut w = Wal::open(&path).unwrap();
+        sample_workload(&mut w);
+        w.sync().unwrap();
+        let durable = w.records().to_vec();
+        w.append(LogRecord::Begin(sub(3)));
+        let _never_executed = w.seal_batch().unwrap();
+        w.progress().unwrap().poison();
+        assert!(w.is_dead());
+        let lost = w.crash().unwrap();
+        assert_eq!(w.records(), &durable[..]);
+        assert_eq!(lost, vec![LogRecord::Begin(sub(3))]);
     }
 }
